@@ -38,7 +38,7 @@ class Claim:
 class CasebookResult:
     id: str
     statement: str
-    status: str  # pass | fail | evidence-only | skipped
+    status: str  # pass | fail | evidence-only | skipped | error
     artifacts: dict = field(default_factory=dict)
     elapsed: float = 0.0
 
@@ -478,7 +478,8 @@ def run_casebook(ids=None, max_seconds: int = 120) -> list[CasebookResult]:
     """Run the selected claims (all by default) within the time budget.
 
     Claims whose cost estimate does not fit the remaining budget are
-    reported as skipped, never dropped.
+    reported as skipped, never dropped.  A claim that raises is
+    reported with status ``error`` and the exception text.
     """
     chosen = list(CLAIMS)
     if ids is not None:
@@ -497,11 +498,15 @@ def run_casebook(ids=None, max_seconds: int = 120) -> list[CasebookResult]:
                            f"remaining {max(0, max_seconds - spent):.0f}s budget"}))
             continue
         start = time.perf_counter()
-        ok, artifacts = claim.run()
+        try:
+            ok, artifacts = claim.run()
+        except Exception as exc:  # one broken claim must not abort the run
+            status, artifacts = "error", {"error": f"{type(exc).__name__}: {exc}"}
+        else:
+            status = "pass" if ok else "fail"
+            if ok and claim.evidence_only:
+                status = "evidence-only"
         elapsed = time.perf_counter() - start
         spent += elapsed
-        status = "pass" if ok else "fail"
-        if ok and claim.evidence_only:
-            status = "evidence-only"
         results.append(CasebookResult(claim.id, claim.statement, status, artifacts, elapsed))
     return results

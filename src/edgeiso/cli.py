@@ -3,7 +3,8 @@
 Graphs are given either as an edge-list file path or as a constructor
 expression (complete(4), join(X,Y), power(complete(2),3), ...).  Exit
 codes: 0 all requested checks passed or were explicitly evidence-only,
-1 a check failed, 2 bad usage or input, 3 capacity exceeded.  The
+1 a check failed, 2 bad usage or input, 3 capacity exceeded, 4 an
+internal invariant was violated (a solver self-check).  The
 EDGEISO_THREADS environment variable sets the worker count for big
 profile scans; any value produces identical output.
 """
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -181,18 +183,18 @@ def cmd_casebook(args) -> int:
     lines = []
     for r in results:
         lines.append(f"[{r.status:>13}] {r.id:<24} ({r.elapsed:.2f}s)")
-        if r.status == "fail":
+        if r.status in ("fail", "error"):
             lines.append(f"    {json.dumps(r.artifacts)}")
         elif r.status == "skipped":
             lines.append(f"    {r.artifacts.get('reason', '')}")
-    failed = [r for r in results if r.status == "fail"]
+    tally = {status: sum(r.status == status for r in results)
+             for status in ("pass", "evidence-only", "skipped", "fail", "error")}
     lines.append(f"{len(results)} claims: "
-                 f"{sum(r.status == 'pass' for r in results)} pass, "
-                 f"{sum(r.status == 'evidence-only' for r in results)} evidence-only, "
-                 f"{sum(r.status == 'skipped' for r in results)} skipped, "
-                 f"{len(failed)} fail")
+                 + ", ".join(f"{count} {status}" for status, count in tally.items()))
     _emit(args, payload, "\n".join(lines))
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    if tally["error"]:
+        return EXIT_INTERNAL
+    return EXIT_CHECK_FAILED if tally["fail"] else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,6 +272,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except RuntimeError as exc:  # a self-check found a solver bug
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

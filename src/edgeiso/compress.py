@@ -31,7 +31,7 @@ from .delta import DeltaSequence, nested_solution_form
 from .errors import InputError
 from .graphs import (Graph, as_mask, bit_indices, cartesian_power,
                      cartesian_product, induced_edges)
-from .solver import IsoProfile, iso_profile
+from .solver import IsoProfile, _PrefixDag, iso_profile
 
 _NEG = -(1 << 50)  # impossible-state sentinel for the DP tables
 
@@ -197,12 +197,6 @@ class DiagramOptimizer:
         return Diagram(heights, (self.nh, self.ng))
 
 
-def max_compressed(dh: DeltaSequence, dg: DeltaSequence, m: int) -> tuple[int, Diagram]:
-    """Best weight over all m-cell diagrams, with the least witness."""
-    opt = DiagramOptimizer(dh, dg)
-    return opt.optimum(m), opt.witness(m)
-
-
 # ============================================================
 # Compression of arbitrary product sets
 # ============================================================
@@ -344,43 +338,22 @@ def enumerate_compressed_optimal_orders(g: Graph, cap: int = 10,
 def _enumerate_chains(dh: DeltaSequence, dg: DeltaSequence, cap: int,
                       count_limit: int) -> ChainSurvey:
     nh, ng = len(dh), len(dg)
-    opt = DiagramOptimizer(dh, dg)
-    optima = opt.optima()
-    total_cells = nh * ng
-    heights = [0] * nh
-    trail: list[tuple[int, int]] = []
-    found: list[CompressedChain] = []
-    state = {"count": 0, "capped": False}
+    optima = DiagramOptimizer(dh, dg).optima()
+    steps = [optima[k + 1] - optima[k] for k in range(nh * ng)]
+    gain_h, gain_g = dh.values, dg.values  # cell (x, y) weighs gain_h[x] + gain_g[y]
 
-    def grow(size: int, weight: int) -> None:
-        if state["capped"]:
-            return
-        if size == total_cells:
-            state["count"] += 1
-            if len(found) < cap:
-                found.append(CompressedChain(tuple(trail), (nh, ng)))
-            if state["count"] >= count_limit:
-                state["capped"] = True
-            return
-        want = optima[size + 1]
+    def moves(heights: tuple[int, ...], size: int):
+        want = steps[size]
         for x in range(nh):
             h = heights[x]
-            if h >= ng or (x and heights[x - 1] <= h):
-                continue
-            gain = dh.at(x + 1) + dg.at(h + 1)
-            if weight + gain != want:
-                continue
-            heights[x] = h + 1
-            trail.append((x, h))
-            grow(size + 1, weight + gain)
-            trail.pop()
-            heights[x] = h
-            if state["capped"]:
-                return
+            if h < ng and (x == 0 or heights[x - 1] > h) and gain_h[x] + gain_g[h] == want:
+                yield (x, h), heights[:x] + (h + 1,) + heights[x + 1:]
 
-    grow(0, 0)
-    chains = tuple(found)
-    return ChainSurvey(chains, state["count"], not state["capped"],
+    dag = _PrefixDag(nh * ng, (0,) * nh, moves)
+    limit = max(count_limit, 1)  # the first full chain is always counted
+    total = dag.count(limit)
+    chains = tuple(CompressedChain(cells, (nh, ng)) for cells in dag.paths(min(cap, limit)))
+    return ChainSurvey(chains, total, total < limit,
                        tuple(c.classify() for c in chains))
 
 

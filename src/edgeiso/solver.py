@@ -45,6 +45,7 @@ ORDER_ENUM_CAP = 20
 THREADS_ENV = "EDGEISO_THREADS"
 
 _BLOCK_LOW_BITS = 20  # at most 2^20 subsets handled per vectorized block
+_GRAY_MAX_N = 9  # auto scans up to here with gray, above with blocks
 
 
 def thread_count() -> int:
@@ -81,9 +82,6 @@ class IsoProfile:
 
     def witness(self, m: int) -> VertexSet:
         return VertexSet.from_mask(self.graph.n, self.induced_witness[m])
-
-    def boundary_witness_set(self, m: int) -> VertexSet:
-        return VertexSet.from_mask(self.graph.n, self.boundary_witness[m])
 
     def _validate(self) -> None:
         g = self.graph
@@ -135,7 +133,6 @@ class IsoProfile:
 
 class OptimalOrder(NamedTuple):
     order: tuple[int, ...]
-    prefix_optimal: bool
 
 
 class NsSearch(NamedTuple):
@@ -191,7 +188,7 @@ def iso_profile(g: Graph, strategy: str = "auto", cap: int | None = None,
         raise CapacityError(
             f"profile scan on {g.n} vertices exceeds the {limit}-vertex cap")
     if strategy == "auto":
-        strategy = "gray" if g.n <= 16 else "blocks"
+        strategy = "gray" if g.n <= _GRAY_MAX_N else "blocks"
     if strategy == "gray":
         tables = _scan_gray(g)
     elif strategy == "blocks":
@@ -427,6 +424,90 @@ def _optimum_table(profile: IsoProfile, side: str):
     raise InputError(f"unknown optimality side {side!r}")
 
 
+class _PrefixDag:
+    """The DAG of prefixes that hit the optimum at every size, walked by
+    the nested-solution search, order enumeration and chain surveys.
+
+    A state is the minimal key of a prefix (a vertex mask, a diagram's
+    heights); its value is the optimum at its size, so nothing else is
+    carried.  ``moves(state, size)`` yields ``(label, child)`` in
+    ascending label order for exactly the children that hit the optimum
+    at ``size + 1``.  ``memo`` maps a state to its completion count,
+    saturated at the count limit; 0 marks a dead state.
+    """
+
+    def __init__(self, depth: int, start, moves):
+        self.depth = depth
+        self.start = start
+        self.moves = moves
+        self.memo: dict = {}
+        self.deepest = 0  # longest prefix ``paths`` reached
+
+    def count(self, limit: int | None = None) -> int:
+        """Completions of the start state, min(total, limit)."""
+        memo, moves, depth = self.memo, self.moves, self.depth
+
+        def completions(state, size: int) -> int:
+            if size == depth:
+                return 1
+            hit = memo.get(state)
+            if hit is not None:
+                return hit
+            total = 0
+            for _, child in moves(state, size):
+                total += completions(child, size + 1)
+                if limit is not None and total >= limit:
+                    total = limit
+                    break
+            memo[state] = total
+            return total
+
+        return completions(self.start, 0)
+
+    def paths(self, cap: int) -> list[tuple]:
+        """The first ``cap`` full label sequences, in label order."""
+        memo, moves, depth = self.memo, self.moves, self.depth
+        found: list[tuple] = []
+        # one frame per open state: label in, state, len(found) on entry, moves
+        frames = [(None, self.start, 0, moves(self.start, 0))]
+        while frames and len(found) < cap:
+            _, state, mark, todo = frames[-1]
+            size = len(frames)  # size of the children ``todo`` yields
+            for label, child in todo:
+                if size == depth:
+                    self.deepest = depth
+                    found.append(tuple(f[0] for f in frames[1:]) + (label,))
+                    if len(found) == cap:
+                        break
+                elif memo.get(child) != 0:
+                    self.deepest = max(self.deepest, size)
+                    frames.append((label, child, len(found), moves(child, size)))
+                    break
+            else:
+                frames.pop()
+                if len(found) == mark:
+                    memo[state] = 0
+        return found
+
+
+def _vertex_moves(g: Graph, target, by_boundary: bool = False):
+    """Moves of the vertex-order DAG: add one vertex so that the prefix
+    still hits ``target`` (induced maximum, or boundary minimum)."""
+    # Adding v changes the value by base + scale * (edges from v into the prefix).
+    scale = -2 if by_boundary else 1
+    rows = [(v, 1 << v, row, row.bit_count() if by_boundary else 0)
+            for v, row in enumerate(g.adj)]
+    steps = [target[k + 1] - target[k] for k in range(g.n)]
+
+    def moves(mask: int, size: int):
+        want = steps[size]
+        for v, bit, row, base in rows:
+            if not mask & bit and base + scale * (row & mask).bit_count() == want:
+                yield v, mask | bit
+
+    return moves
+
+
 def has_ns(g: Graph, profile: IsoProfile | None = None, side: str = "induced") -> NsSearch:
     """Search for an order whose every prefix is an optimal set.
 
@@ -437,44 +518,11 @@ def has_ns(g: Graph, profile: IsoProfile | None = None, side: str = "induced") -
     default, boundary minimum as the off-by-default variant).
     """
     prof = profile or iso_profile(g)
-    target = _optimum_table(prof, side)
-    n, adj = g.n, g.adj
-    deg = [row.bit_count() for row in adj]
-    by_boundary = side == "boundary"
-    dead: set[int] = set()
-    chosen: list[int] = []
-    deepest = 0
-
-    def extend(mask: int, size: int, inner: int, degsum: int) -> bool:
-        nonlocal deepest
-        if size > deepest:
-            deepest = size
-        if size == n:
-            return True
-        want = target[size + 1]
-        for v in range(n):
-            bit = 1 << v
-            if mask & bit:
-                continue
-            gained = (adj[v] & mask).bit_count()
-            inner2 = inner + gained
-            degsum2 = degsum + deg[v]
-            value = degsum2 - 2 * inner2 if by_boundary else inner2
-            if value != want:
-                continue
-            child = mask | bit
-            if child in dead:
-                continue
-            chosen.append(v)
-            if extend(child, size + 1, inner2, degsum2):
-                return True
-            chosen.pop()
-            dead.add(child)
-        return False
-
-    if extend(0, 0, 0, 0):
-        return NsSearch(tuple(chosen), n)
-    return NsSearch(None, deepest)
+    dag = _PrefixDag(g.n, 0, _vertex_moves(g, _optimum_table(prof, side), side == "boundary"))
+    found = dag.paths(1)
+    if found:
+        return NsSearch(found[0], g.n)
+    return NsSearch(None, dag.deepest)
 
 
 def verify_order(g: Graph, order, profile: IsoProfile | None = None) -> OrderReport:
@@ -510,56 +558,6 @@ def enumerate_optimal_orders(g: Graph, cap: int = 10,
         raise CapacityError(
             f"order enumeration on {g.n} vertices exceeds the {vertex_cap}-vertex cap")
     prof = profile or iso_profile(g)
-    target = prof.induced
-    n, adj = g.n, g.adj
-    completions: dict[int, int] = {}
-
-    def count_from(mask: int, size: int, inner: int) -> int:
-        if size == n:
-            return 1
-        hit = completions.get(mask)
-        if hit is not None:
-            return hit
-        total = 0
-        want = target[size + 1]
-        for v in range(n):
-            bit = 1 << v
-            if mask & bit:
-                continue
-            inner2 = inner + (adj[v] & mask).bit_count()
-            if inner2 == want:
-                total += count_from(mask | bit, size + 1, inner2)
-        completions[mask] = total
-        return total
-
-    total = count_from(0, 0, 0)
-
-    collected: list[OptimalOrder] = []
-    prefix: list[int] = []
-
-    def walk(mask: int, size: int, inner: int) -> None:
-        if len(collected) >= cap:
-            return
-        if size == n:
-            collected.append(OptimalOrder(tuple(prefix), True))
-            return
-        want = target[size + 1]
-        for v in range(n):
-            bit = 1 << v
-            if mask & bit:
-                continue
-            inner2 = inner + (adj[v] & mask).bit_count()
-            if inner2 != want:
-                continue
-            child = mask | bit
-            if completions.get(child, 0) == 0 and size + 1 < n:
-                continue
-            prefix.append(v)
-            walk(child, size + 1, inner2)
-            prefix.pop()
-            if len(collected) >= cap:
-                return
-
-    if cap > 0 and total > 0:
-        walk(0, 0, 0)
-    return collected, total
+    dag = _PrefixDag(g.n, 0, _vertex_moves(g, prof.induced))
+    total = dag.count()
+    return [OptimalOrder(order) for order in dag.paths(cap)], total

@@ -61,6 +61,75 @@ def brute_witnesses(n, edges):
     return wit_i, wit_t
 
 
+def brute_optimal_orders(n, edges, optimum, boundary=False):
+    """Filter all permutations down to those whose every prefix k hits
+    ``optimum[k]`` (induced edges, or boundary edges when ``boundary``).
+
+    Returns the passing orders in lexicographic order and the longest
+    run of optimal prefixes any permutation starts with.
+    """
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    orders = []
+    deepest = 0
+    for perm in itertools.permutations(range(n)):
+        inside = set()
+        value = 0
+        k = 0
+        for v in perm:
+            gained = len(nbrs[v] & inside)
+            value += len(nbrs[v]) - 2 * gained if boundary else gained
+            inside.add(v)
+            if value != optimum[k + 1]:
+                break
+            k += 1
+        deepest = max(deepest, k)
+        if k == n:
+            orders.append(perm)
+    return orders, deepest
+
+
+def brute_chains(dh, dg):
+    """All cell sequences filling the len(dh) x len(dg) box one cell at a
+    time through staircases, kept when every prefix weighs as much as
+    the heaviest staircase of its size; cell (x, y) weighs dh[x] + dg[y].
+
+    Sorted, which is the order the chain walker lists them in.
+    """
+    nh, ng = len(dh), len(dg)
+    best = {}
+    for heights in itertools.product(range(ng + 1), repeat=nh):
+        if any(heights[x] < heights[x + 1] for x in range(nh - 1)):
+            continue
+        weight = sum(dh[x] + dg[y] for x in range(nh) for y in range(heights[x]))
+        size = sum(heights)
+        best[size] = max(best.get(size, weight), weight)
+    sequences = []
+
+    def grow(heights, cells):
+        if len(cells) == nh * ng:
+            sequences.append(tuple(cells))
+            return
+        for x in range(nh):
+            h = heights[x]
+            if h < ng and (x == 0 or heights[x - 1] > h):
+                heights[x] += 1
+                cells.append((x, h))
+                grow(heights, cells)
+                cells.pop()
+                heights[x] -= 1
+
+    grow([0] * nh, [])
+    chains = []
+    for cells in sequences:
+        weights = itertools.accumulate(dh[x] + dg[y] for x, y in cells)
+        if all(w == best[k] for k, w in enumerate(weights, start=1)):
+            chains.append(cells)
+    return sorted(chains)
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return from_edge_list(n, edges, name=f"random(n={n})")

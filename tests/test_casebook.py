@@ -7,10 +7,11 @@ casebook that cannot fail is not evidence of anything.
 
 import pytest
 
+import edgeiso.casebook
 import edgeiso.delta
 import edgeiso.graphs
 from edgeiso.casebook import (CLAIMS, Z2_REFERENCE_DELTA, CasebookResult,
-                              claim_ids, run_casebook)
+                              Claim, claim_ids, run_casebook)
 from edgeiso.delta import SymmetryCheck
 from edgeiso.errors import InputError
 from edgeiso.graphs import Graph, graph_y, join
@@ -141,3 +142,18 @@ def test_pipeline_detects_corrupted_symmetry_check(monkeypatch):
     assert result.artifacts["failed_step"] == "asymmetry"
     sym = run_casebook(["symmetry-regularity"], max_seconds=600)[0]
     assert sym.status == "fail"
+
+
+def _raising_claim():
+    raise ZeroDivisionError("pipeline divided by zero")
+
+
+def test_raising_claim_is_contained(monkeypatch):
+    broken = Claim("broken", "a pipeline that raises", 1, _raising_claim)
+    monkeypatch.setattr(edgeiso.casebook, "CLAIMS", CLAIMS + (broken,))
+    results = run_casebook(["delta-petersen", "broken", "z-construction"])
+    assert [r.status for r in results] == ["pass", "error", "pass"]
+    error = results[1]
+    assert error.artifacts == {"error": "ZeroDivisionError: pipeline divided by zero"}
+    assert error.elapsed >= 0
+    assert error.to_dict()["status"] == "error"

@@ -4,8 +4,8 @@ import json
 import subprocess
 import sys
 
-from edgeiso.cli import (EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_OK,
-                         EXIT_USAGE, main)
+from edgeiso.cli import (EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_INTERNAL,
+                         EXIT_OK, EXIT_USAGE, main)
 
 PETERSEN_DELTA_TEXT = "delta: (0,1,1,1,2,1,2,2,2,3)"
 
@@ -227,6 +227,22 @@ def test_casebook_failure_exit_code(capsys, monkeypatch):
     assert "failed_step" in out
 
 
+def test_casebook_error_exit_code(capsys, monkeypatch):
+    import edgeiso.casebook
+
+    def broken():
+        raise KeyError("missing artifact")
+
+    claim = edgeiso.casebook.Claim("broken", "a pipeline that raises", 1, broken)
+    monkeypatch.setattr(edgeiso.casebook, "CLAIMS", edgeiso.casebook.CLAIMS + (claim,))
+    code, out, _ = run_cli(capsys, "casebook", "--claim", "broken",
+                           "--claim", "delta-petersen")
+    assert code == EXIT_INTERNAL
+    assert "[        error] broken" in out
+    assert "KeyError: 'missing artifact'" in out
+    assert "2 claims: 1 pass, 0 evidence-only, 0 skipped, 0 fail, 1 error" in out
+
+
 # ------------------------------------------------------------
 # errors and exit codes
 # ------------------------------------------------------------
@@ -243,6 +259,18 @@ def test_capacity_exit_code(capsys):
     code, _, err = run_cli(capsys, "delta", "empty(29)")
     assert code == EXIT_CAPACITY
     assert "29" in err
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    import edgeiso.solver
+
+    def corrupt(*args, **kwargs):
+        raise RuntimeError("inconsistent profile for petersen; solver bug")
+
+    monkeypatch.setattr(edgeiso.solver, "iso_profile", corrupt)
+    code, _, err = run_cli(capsys, "solve", "petersen")
+    assert code == EXIT_INTERNAL
+    assert err.startswith("internal error: inconsistent profile")
 
 
 def test_help_exits_ok(capsys):

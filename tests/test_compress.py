@@ -7,8 +7,7 @@ import pytest
 from edgeiso.compress import (CompressedChain, Diagram, DiagramOptimizer,
                               colex_chain, compress_set, diagram_weight,
                               enumerate_compressed_optimal_orders, lex_chain,
-                              max_compressed, power_lex_check,
-                              verify_lex_square)
+                              power_lex_check, verify_lex_square)
 from edgeiso.delta import delta_of, nested_solution_form
 from edgeiso.errors import InputError, NsRequiredError
 from edgeiso.graphs import (cartesian_product, complete, cycle, empty_graph,
@@ -151,6 +150,8 @@ def test_optimizer_equals_product_profile_k3():
     d = delta_for(complete(3))
     opt = DiagramOptimizer(d, d)
     assert tuple(opt.optima()) == K3K3_INDUCED
+    assert opt.optimum(4) == K3K3_INDUCED[4]
+    assert opt.witness(4).heights == (2, 1, 1)
     product = cartesian_product(complete(3), complete(3))
     assert iso_profile(product).induced == K3K3_INDUCED
 
@@ -161,13 +162,6 @@ def test_optimizer_range_errors():
         opt.optimum(10)
     with pytest.raises(InputError):
         opt.witness(-1)
-
-
-def test_max_compressed():
-    d = delta_for(complete(3))
-    value, witness = max_compressed(d, d, 4)
-    assert value == K3K3_INDUCED[4]
-    assert witness.heights == (2, 1, 1)
 
 
 # ------------------------------------------------------------

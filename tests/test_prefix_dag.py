@@ -1,0 +1,101 @@
+"""The optimal-prefix walker against brute force.
+
+Nested-solution search, order enumeration and compressed chains all
+walk one memoized DAG of optimal prefixes.  These property tests pit
+each caller against an oracle from conftest that filters every
+permutation or every staircase cell sequence, so a wrong memo entry,
+a bad dead-state mark or an off-by-one in the count limit shows up as
+a disagreement.
+"""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import brute_chains, brute_optimal_orders, brute_tables
+from edgeiso.compress import _enumerate_chains, enumerate_compressed_optimal_orders
+from edgeiso.delta import DeltaSequence
+from edgeiso.graphs import from_edge_list
+from edgeiso.solver import enumerate_optimal_orders, has_ns, iso_profile
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+# A 15-vertex graph whose square has no compressed optimal chain; the
+# unmemoized chain search re-walked its dead sub-DAGs for many minutes.
+POOL_15_3_EDGES = [
+    (0, 1), (0, 3), (0, 7), (1, 2), (1, 5), (1, 9), (1, 11), (2, 12), (3, 4), (3, 6),
+    (3, 8), (3, 9), (4, 7), (4, 10), (6, 10), (7, 11), (8, 12), (9, 13), (10, 14), (11, 12),
+]
+
+
+# Graphs this small rarely lack nested solutions, so two that do are
+# always tried: C4 plus a triangle, and one whose search backtracks
+# through twenty dead prefixes before giving up at depth 4.
+NO_NS_GRAPHS = [
+    (7, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)]),
+    (7, [(0, 1), (0, 3), (1, 3), (2, 5), (2, 6), (3, 5), (3, 6), (4, 5), (4, 6)]),
+]
+
+
+@st.composite
+def small_graphs(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [pair for pair, kept in zip(pairs, keep) if kept]
+
+
+def delta_sequences(max_len):
+    return st.lists(st.integers(0, 3), min_size=1, max_size=max_len).map(
+        lambda values: DeltaSequence(sorted(values)))
+
+
+@PROPERTY
+@given(small_graphs(), st.integers(0, 12))
+@example(NO_NS_GRAPHS[0], 3)
+@example(NO_NS_GRAPHS[1], 3)
+def test_orders_match_permutation_filter(graph, cap):
+    n, edges = graph
+    g = from_edge_list(n, edges)
+    best_i, _ = brute_tables(n, edges)
+    expected, _ = brute_optimal_orders(n, edges, best_i)
+    orders, total = enumerate_optimal_orders(g, cap=cap)
+    assert total == len(expected)
+    assert [o.order for o in orders] == expected[:cap]
+
+
+@PROPERTY
+@given(small_graphs())
+@example(NO_NS_GRAPHS[0])
+@example(NO_NS_GRAPHS[1])
+def test_has_ns_matches_permutation_filter(graph):
+    n, edges = graph
+    g = from_edge_list(n, edges)
+    prof = iso_profile(g)
+    best_i, best_t = brute_tables(n, edges)
+    for side, optimum in (("induced", best_i), ("boundary", best_t)):
+        expected, deepest = brute_optimal_orders(n, edges, optimum, boundary=side == "boundary")
+        search = has_ns(g, prof, side=side)
+        assert search.order == (expected[0] if expected else None), side
+        assert search.deepest == deepest, side
+
+
+@PROPERTY
+@given(delta_sequences(3), delta_sequences(4), st.integers(0, 5), st.integers(0, 40))
+def test_chains_match_staircase_filter(dh, dg, cap, count_limit):
+    expected = brute_chains(dh.values, dg.values)
+    survey = _enumerate_chains(dh, dg, cap=cap, count_limit=10**9)
+    assert survey.total == len(expected) and survey.exact
+    assert [c.cells for c in survey.chains] == expected[:cap]
+    # the count stops at the limit; at least the first chain is counted
+    limit = max(count_limit, 1)
+    clipped = _enumerate_chains(dh, dg, cap=cap, count_limit=count_limit)
+    assert clipped.total == min(len(expected), limit)
+    assert clipped.exact == (len(expected) < limit)
+    assert [c.cells for c in clipped.chains] == expected[:min(cap, limit)]
+
+
+def test_chainless_square_finishes():
+    g = from_edge_list(15, POOL_15_3_EDGES, name="pool(n=15,k=3)")
+    survey = enumerate_compressed_optimal_orders(g)
+    assert survey.total == 0 and survey.exact
+    assert survey.chains == ()

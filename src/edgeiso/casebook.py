@@ -31,14 +31,13 @@ class Claim:
     statement: str
     estimated_seconds: int
     run: Callable[[], tuple[bool, dict]]
-    evidence_only: bool = False
 
 
 @dataclass
 class CasebookResult:
     id: str
     statement: str
-    status: str  # pass | fail | evidence-only | skipped | error
+    status: str  # pass | fail | skipped | error
     artifacts: dict = field(default_factory=dict)
     elapsed: float = 0.0
 
@@ -404,6 +403,15 @@ def _check_power_lex_spot() -> tuple[bool, dict]:
     return ok, detail
 
 
+def _check_power_lex_local_global() -> tuple[bool, dict]:
+    detail = {}
+    for base, top in ((graphs_mod.complete(3), 6), (graphs_mod.complete(2), 10)):
+        for d in range(2, top + 1):
+            report = compress_mod.power_lex_check(base, d, mode="compressed")
+            detail[f"{base.display_name()}^{d}"] = {"sizes": len(report.rows), "ok": report.ok}
+    return all(row["ok"] for row in detail.values()), detail
+
+
 def _check_power_lex_cube27() -> tuple[bool, dict]:
     report = compress_mod.power_lex_check(graphs_mod.complete(3), 3)
     return report.ok and not report.evidence_only, {
@@ -467,6 +475,10 @@ CLAIMS: tuple[Claim, ...] = (
           "numeric prefixes are optimal at every size of complete(3)^3 "
           "(full 2^27 scan)",
           900, _check_power_lex_cube27),
+    Claim("power-lex-local-global",
+          "lex is optimal at every size of complete(3)^d for d = 2..6 and "
+          "complete(2)^d for d = 2..10 (iterated diagram DP)",
+          1, _check_power_lex_local_global),
 )
 
 
@@ -504,8 +516,6 @@ def run_casebook(ids=None, max_seconds: int = 120) -> list[CasebookResult]:
             status, artifacts = "error", {"error": f"{type(exc).__name__}: {exc}"}
         else:
             status = "pass" if ok else "fail"
-            if ok and claim.evidence_only:
-                status = "evidence-only"
         elapsed = time.perf_counter() - start
         spent += elapsed
         results.append(CasebookResult(claim.id, claim.statement, status, artifacts, elapsed))

@@ -3,7 +3,8 @@
 Every check recomputes its claim from scratch inside a wall-clock
 budget; the budget is part of the check.  Run the optional slow tier
 (a pure-Python Gray-code walk over all 2^27 subsets of a 27-vertex
-power graph) with EDGEISO_SLOW=1.
+power graph, checked against the block scan and the compressed power
+check) with EDGEISO_SLOW=1.
 """
 
 import os
@@ -308,10 +309,15 @@ def test_criterion_11_slow_tier_cube27(capsys):
         problems.append("gray and block scans disagree")
     mask = 0
     inner = 0
+    gray_rows = []
     for v in range(gp.n):
         inner += (gp.adj[v] & mask).bit_count()
         mask |= 1 << v
+        gray_rows.append((v + 1, inner, prof.induced[v + 1], inner == prof.induced[v + 1]))
         if inner != prof.induced[v + 1]:
             problems.append(f"prefix of size {v + 1}: {inner} vs {prof.induced[v + 1]}")
+    compressed = power_lex_check(complete(3), 3, mode="compressed")
+    if [(r.size, r.candidate, r.optimum, r.ok) for r in compressed.rows] != gray_rows:
+        problems.append("compressed rows disagree with the Gray table")
     report(capsys, 11, "slow tier: 2^27 Gray scan of complete(3)^3", 900,
            started, problems)

@@ -22,6 +22,7 @@ ALL_IDS = [
     "diagram-weight-formula", "compressed-dp-exact", "uniqueness-complete",
     "uniqueness-z2", "z2-counterexample", "z-construction",
     "symmetry-regularity", "power-lex-spot", "power-lex-cube27",
+    "power-lex-local-global",
 ]
 
 
@@ -88,6 +89,25 @@ def test_z2_artifacts():
     assert art["symmetric"] is False and art["first_asymmetric"] == 9
     assert art["regular"] is False
     assert art["square_sizes_checked"] == 289 and art["square_all_optimal"]
+
+
+def test_local_global_artifacts():
+    result = run_casebook(["power-lex-local-global"])[0]
+    assert result.status == "pass"
+    sizes = {key: row["sizes"] for key, row in result.artifacts.items()}
+    assert len(sizes) == 5 + 9
+    assert sizes["complete(3)^6"] == 729 and sizes["complete(2)^10"] == 1024
+
+
+def test_local_global_detects_a_failing_power(monkeypatch):
+    real = edgeiso.graphs.complete
+    monkeypatch.setattr(edgeiso.graphs, "complete",
+                        lambda n: edgeiso.graphs.path(3) if n == 3 else real(n))
+    result = run_casebook(["power-lex-local-global"])[0]
+    assert result.status == "fail"
+    # every power reports path(3)^2, where lex fails first
+    assert result.artifacts["path(3)^6"] == {"sizes": 9, "ok": False}
+    assert result.artifacts["complete(2)^10"] == {"sizes": 1024, "ok": True}
 
 
 def test_z_construction_artifacts():

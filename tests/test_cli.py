@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 from edgeiso.cli import (EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_INTERNAL,
                          EXIT_OK, EXIT_USAGE, main)
@@ -168,12 +169,35 @@ def test_power_check(capsys):
     assert "first failure: size 4" in out
 
 
-def test_power_check_sampled(capsys):
-    code, payload, _ = run_json(capsys, "power-check", "complete(3)", "--d", "2",
-                                "--mode", "sampled", "--samples", "4",
-                                "--seed", "7", "--json")
-    assert code == EXIT_OK
-    assert payload["evidence_only"] is True
+def test_power_check_compressed(capsys):
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, "power-check", "complete(3)", "--d", "6",
+                           "--mode", "compressed")
+    assert code == EXIT_OK and time.perf_counter() - started < 1
+    assert "complete(3)^6" in out and out.rstrip().endswith("ok")
+    code, out, _ = run_cli(capsys, "power-check", "petersen", "--d", "3",
+                           "--mode", "compressed")
+    assert code == EXIT_CHECK_FAILED
+    assert "lex prefixes of petersen^2" in out
+    assert "first failure: size 4, 3 vs 4" in out
+    code, payload, _ = run_json(capsys, "power-check", "path(3)", "--d", "2",
+                                "--mode", "compressed", "--json")
+    assert code == EXIT_CHECK_FAILED
+    assert payload["evidence_only"] is False
+    assert payload["rows"][3]["witness"] == "2,2,0"
+
+
+def test_power_check_guards(capsys):
+    assert run_cli(capsys, "power-check", "complete(2)", "--d", "0",
+                   "--mode", "compressed")[0] == EXIT_USAGE
+    for d in ("13", "40"):
+        assert run_cli(capsys, "power-check", "complete(2)", "--d", d,
+                       "--mode", "compressed")[0] == EXIT_CAPACITY
+    code, _, err = run_cli(capsys, "power-check", "complete(2)", "--d", "3",
+                           "--mode", "sampled")
+    assert code == EXIT_USAGE and "compressed" in err
+    assert run_cli(capsys, "power-check", "complete(2)", "--d", "3",
+                   "--samples", "4")[0] == EXIT_USAGE
 
 
 # ------------------------------------------------------------
@@ -184,7 +208,7 @@ def test_casebook_list(capsys):
     code, out, _ = run_cli(capsys, "casebook", "--list")
     assert code == EXIT_OK
     lines = [line for line in out.strip().split("\n") if line]
-    assert len(lines) == 16
+    assert len(lines) == 17
     assert lines[0].startswith("delta-complete")
 
 
@@ -240,7 +264,7 @@ def test_casebook_error_exit_code(capsys, monkeypatch):
     assert code == EXIT_INTERNAL
     assert "[        error] broken" in out
     assert "KeyError: 'missing artifact'" in out
-    assert "2 claims: 1 pass, 0 evidence-only, 0 skipped, 0 fail, 1 error" in out
+    assert "2 claims: 1 pass, 0 skipped, 0 fail, 1 error" in out
 
 
 # ------------------------------------------------------------

@@ -3,16 +3,20 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import edgeiso.compress
 from edgeiso.compress import (CompressedChain, Diagram, DiagramOptimizer,
                               colex_chain, compress_set, diagram_weight,
                               enumerate_compressed_optimal_orders, lex_chain,
                               power_lex_check, verify_lex_square)
 from edgeiso.delta import delta_of, nested_solution_form
-from edgeiso.errors import InputError, NsRequiredError
-from edgeiso.graphs import (cartesian_product, complete, cycle, empty_graph,
-                            induced_edges, path, petersen, relabel)
-from edgeiso.solver import iso_profile
+from edgeiso.errors import CapacityError, InputError, NsRequiredError
+from edgeiso.graphs import (cartesian_power, cartesian_product, complete, cycle,
+                            empty_graph, from_edge_list, induced_edges, named,
+                            path, petersen, relabel)
+from edgeiso.solver import has_ns, iso_profile
 
 K3K3_INDUCED = (0, 0, 1, 3, 4, 6, 9, 11, 14, 18)
 
@@ -329,10 +333,87 @@ def test_power_lex_check_relabels_base():
     assert report.failures()[0].size == 4
 
 
-def test_power_lex_check_sampled():
-    r1 = power_lex_check(complete(3), 2, mode="sampled", samples=8, seed=5)
-    r2 = power_lex_check(complete(3), 2, mode="sampled", samples=8, seed=5)
-    assert r1.ok and r1.evidence_only
-    assert r1.rows == r2.rows
-    with pytest.raises(InputError):
-        power_lex_check(complete(3), 2, mode="exact")
+def test_power_lex_check_rejects_unknown_modes():
+    for mode in ("sampled", "exact"):
+        with pytest.raises(InputError, match="use exhaustive or compressed"):
+            power_lex_check(complete(3), 2, mode=mode)
+
+
+def test_power_lex_check_guards_come_first(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("work started before the input guards")
+
+    monkeypatch.setattr(edgeiso.compress, "nested_solution_form", forbidden)
+    monkeypatch.setattr(edgeiso.compress, "DiagramOptimizer", forbidden)
+    for mode in ("exhaustive", "compressed"):
+        with pytest.raises(InputError):
+            power_lex_check(complete(2), 0, mode=mode)
+        for d in (13, 40):
+            with pytest.raises(CapacityError):
+                power_lex_check(complete(2), d, mode=mode)
+
+
+def rows_of(report):
+    return [(r.size, r.candidate, r.optimum, r.ok) for r in report.rows]
+
+
+@pytest.mark.parametrize("expr, d", [
+    ("complete(2)", 1), ("complete(2)", 3), ("complete(2)", 4), ("complete(3)", 2),
+    ("complete(4)", 2), ("path(3)", 2), ("star(4)", 2), ("cycle(4)", 2),
+])
+def test_compressed_matches_exhaustive_pinned(expr, d):
+    g = named(expr)
+    compressed = power_lex_check(g, d, mode="compressed")
+    exhaustive = power_lex_check(g, d)
+    assert rows_of(compressed) == rows_of(exhaustive)
+    assert compressed.ok == exhaustive.ok and not compressed.evidence_only
+
+
+def test_compressed_reports_first_failing_power_path3():
+    report = power_lex_check(path(3), 3, mode="compressed")
+    assert not report.ok
+    assert len(report.rows) == 9  # the report covers path(3)^2
+    assert "path(3)^2" in report.subject and "path(3)^3" in report.subject
+    assert "path(3)^3" in report.note
+    first = report.failures()[0]
+    assert (first.size, first.candidate, first.optimum) == (4, 3, 4)
+    assert first.witness == "2,2,0"
+    # labels below 9 have first coordinate 0, so both sets lie in path(3)^3
+    cube = cartesian_power(nested_solution_form(path(3))[0], 3)
+    assert induced_edges(cube, 0b1111) == 3
+    assert induced_edges(cube, Diagram.parse(first.witness, (3, 3)).product_mask()) == 4
+
+
+def test_compressed_reports_first_failing_power_petersen(pet):
+    report = power_lex_check(pet, 3, mode="compressed")
+    assert not report.ok
+    assert len(report.rows) == 100
+    assert "petersen^2" in report.subject
+    first = report.failures()[0]
+    assert (first.size, first.candidate, first.optimum) == (4, 3, 4)
+
+
+@st.composite
+def ns_powers(draw):
+    """A random graph with nested solutions and an exponent with n^d <= 16."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, max(k for k in range(1, 5) if n ** k <= 16)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = from_edge_list(n, [pair for pair, kept in zip(pairs, keep) if kept])
+    assume(has_ns(g).order is not None)
+    return g, d
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ns_powers())
+def test_compressed_matches_exhaustive_random(case):
+    g, d = case
+    compressed = power_lex_check(g, d, mode="compressed")
+    # when lex fails first at power k < d, the report covers g^k
+    k = d
+    while g.n ** k != len(compressed.rows):
+        k -= 1
+    assert k == d or not compressed.ok
+    assert rows_of(compressed) == rows_of(power_lex_check(g, k))
+    assert compressed.ok == power_lex_check(g, d).ok

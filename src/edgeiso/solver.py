@@ -11,13 +11,17 @@ Three scan strategies exist and must agree bit for bit:
 * ``gray``          - pure-Python walk of the subsets in Gray-code
                       order; each step flips one vertex and updates the
                       induced count with a single neighbor popcount.
-* ``blocks``        - the subset space is split into disjoint
-                      label-prefix blocks (high bits fixed); inside a
-                      block the counts over all low-bit subsets are
-                      built by vectorized doubling.  Blocks can be
-                      processed by worker threads; results are merged
-                      in block order, so the output never depends on
-                      the thread count.
+* ``blocks``        - the subset space is split into disjoint blocks
+                      that fix the high bits.  Counts over all low-bit
+                      subsets, sorted by (popcount, value), are built
+                      once; the blocks are then walked in Gray order of
+                      their high bits, so each step adds or subtracts
+                      one precomputed row in place and reads the
+                      per-size extremes with one segmented reduction.
+                      Worker threads take contiguous Gray ranges, and
+                      results are merged by comparing (value, mask)
+                      explicitly, so the output never depends on the
+                      thread count.
 * ``combinations``  - per-size enumeration via itertools, kept as the
                       slow independent reference.
 
@@ -49,9 +53,12 @@ _GRAY_MAX_N = 9  # auto scans up to here with gray, above with blocks
 
 
 def thread_count() -> int:
-    """Worker threads for block scans, from EDGEISO_THREADS."""
+    """Worker threads for block scans: EDGEISO_THREADS if set, else the
+    CPUs this process may run on."""
     raw = os.environ.get(THREADS_ENV)
     if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         value = int(raw)
@@ -103,10 +110,14 @@ class IsoProfile:
                     ok = False
                     break
         if ok:
+            counts = {w: _recount(g.adj, w)
+                      for w in {*self.induced_witness, *self.boundary_witness}}
             for m in range(n + 1):
                 wi = self.induced_witness[m]
                 wb = self.boundary_witness[m]
-                if wi.bit_count() != m or wb.bit_count() != m:
+                if (wi.bit_count() != m or wb.bit_count() != m
+                        or counts[wi][0] != self.induced[m]
+                        or counts[wb][1] != self.boundary[m]):
                     ok = False
                     break
         if not ok:
@@ -129,6 +140,20 @@ class IsoProfile:
             lines.append(
                 f"{m},{self.induced[m]},{self.boundary[m]},{hex(self.induced_witness[m])}")
         return "\n".join(lines) + "\n"
+
+
+def _recount(adj, mask: int) -> tuple[int, int]:
+    """(induced, boundary) edges of one set, counted vertex by vertex."""
+    inner2 = 0
+    degsum = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        row = adj[low.bit_length() - 1]
+        inner2 += (row & mask).bit_count()
+        degsum += row.bit_count()
+        rest ^= low
+    return inner2 // 2, degsum - inner2
 
 
 class OptimalOrder(NamedTuple):
@@ -268,9 +293,9 @@ def _scan_combinations(g: Graph):
     return best_i, best_t, wit_i, wit_t
 
 
-def _weighted_subset_sums(weights) -> np.ndarray:
+def _weighted_subset_sums(weights, dtype) -> np.ndarray:
     """out[mask] = sum of weights[j] over the set bits of mask."""
-    out = np.zeros(1 << len(weights), dtype=np.int64)
+    out = np.zeros(1 << len(weights), dtype=dtype)
     size = 1
     for w in weights:
         if w:
@@ -288,81 +313,99 @@ def _scan_blocks(g: Graph, low_bits: int | None = None):
     if k < 1:
         raise InputError("block scan needs at least one low bit")
     hi = n - k
+    # Every table entry lies within [-sum(deg), sum(deg)]: twice the
+    # induced edges, a boundary, or twice the edges from one vertex.
+    dtype = np.int16 if sum(deg) < 1 << 15 else np.int32
 
-    # Induced-edge counts inside the low k vertices, for every low mask,
-    # built by doubling: appending vertex v adds its neighbor count.
-    ilow = np.zeros(1 << k, dtype=np.int64)
+    # Low masks sorted by (popcount, value); within a popcount class the
+    # masks stay ascending, so a segment's first argmax is its least mask.
+    pc = _weighted_subset_sums([1] * k, dtype)
+    order = np.argsort(pc, kind="stable")
+    starts = list(itertools.accumulate((math.comb(k, c) for c in range(k)), initial=0))
+    bounds = starts[1:] + [1 << k]
+    starts_arr = np.array(starts)
+
+    # Tables over the low masks, in that order: twice the induced edges
+    # inside the low set, and its boundary in the whole graph.  Doubling
+    # the induced count lets one row per high vertex update both.
+    ilow = np.zeros(1 << k, dtype=dtype)
     size = 1
     for v in range(k):
         below = [(adj[v] >> j) & 1 for j in range(v)]
-        cross = _weighted_subset_sums(below)
-        np.add(ilow[:size], cross, out=ilow[size:2 * size])
+        np.add(ilow[:size], _weighted_subset_sums(below, dtype), out=ilow[size:2 * size])
         size *= 2
-    degsum_low = _weighted_subset_sums(deg[:k])
+    ind0 = 2 * ilow[order]
+    bnd0 = _weighted_subset_sums(deg[:k], dtype)[order] - ind0
+    # rows[j][x]: twice the edges from high vertex k + j into low set x.
+    rows = [_weighted_subset_sums([2 * (adj[v] >> u & 1) for u in range(k)], dtype)[order]
+            for v in range(k, n)]
 
-    # Fixed permutation sorting low masks by (popcount, value); within a
-    # class the masks stay ascending, so the first argmax is the least.
-    pc = _weighted_subset_sums([1] * k)
-    order = np.argsort(pc, kind="stable")
-    pc_sorted = pc[order]
-    starts = np.searchsorted(pc_sorted, np.arange(k + 1))
-    ilow_o = ilow[order]
-    degsum_o = degsum_low[order]
+    def scan_range(first: int, stop: int):
+        """Best (-induced, mask) and (boundary, mask) keys per size over
+        the blocks with Gray indices first..stop-1."""
+        # Sentinels lose to every real key: -induced <= 0, boundary < n*n.
+        best_i = [(1, 0)] * (n + 1)
+        best_t = [(n * n + 1, 0)] * (n + 1)
+        high = first ^ (first >> 1)
+        ind, bnd = ind0, bnd0  # a lone block 0 only reads the shared tables
+        if stop - first > 1 or high:
+            ind, bnd = ind0.copy(), bnd0.copy()
+            for j in bit_indices(high):
+                ind += rows[j]
+                bnd -= rows[j]
+        full = high << k
+        ih = sum((adj[v] & full).bit_count() for v in bit_indices(full)) // 2
+        dh = sum(deg[v] for v in bit_indices(full))
+        for i in range(first, stop):
+            if i > first:
+                j = (i & -i).bit_length() - 1
+                v = k + j
+                full ^= 1 << v
+                high ^= 1 << j
+                gained = (adj[v] & full).bit_count()
+                if high >> j & 1:
+                    ind += rows[j]
+                    bnd -= rows[j]
+                    ih += gained
+                    dh += deg[v]
+                else:
+                    ind -= rows[j]
+                    bnd += rows[j]
+                    ih -= gained
+                    dh -= deg[v]
+            pch = high.bit_count()
+            seg_i = np.maximum.reduceat(ind, starts_arr).tolist()
+            seg_b = np.minimum.reduceat(bnd, starts_arr).tolist()
+            for c in range(k + 1):
+                m = pch + c
+                # a tie beats the kept witness only from a lower block
+                key = (-(seg_i[c] // 2 + ih), full)
+                if key < best_i[m]:
+                    lo = starts[c]
+                    p = int(np.argmax(ind[lo:bounds[c]]))
+                    best_i[m] = (key[0], full | int(order[lo + p]))
+                key = (seg_b[c] + dh - 2 * ih, full)
+                if key < best_t[m]:
+                    lo = starts[c]
+                    p = int(np.argmin(bnd[lo:bounds[c]]))
+                    best_t[m] = (key[0], full | int(order[lo + p]))
+        return best_i, best_t
 
-    def scan_one(block: int):
-        high_mask = block << k
-        ih = 0
-        dsh = 0
-        for v in bit_indices(high_mask):
-            ih += (adj[v] & high_mask).bit_count()
-            dsh += deg[v]
-        ih //= 2
-        cvec = [(adj[v] & high_mask).bit_count() for v in range(k)]
-        cross = _weighted_subset_sums(cvec)
-        ind_o = ilow_o + cross[order] + ih
-        bnd_o = degsum_o + dsh - 2 * ind_o
-        rows = []
-        for c in range(k + 1):
-            lo = int(starts[c])
-            hidx = int(starts[c + 1]) if c + 1 < len(starts) else len(ind_o)
-            seg_i = ind_o[lo:hidx]
-            seg_b = bnd_o[lo:hidx]
-            pi = int(np.argmax(seg_i))
-            pb = int(np.argmin(seg_b))
-            rows.append((
-                int(seg_i[pi]), int(order[lo + pi]),
-                int(seg_b[pb]), int(order[lo + pb]),
-            ))
-        return block, high_mask.bit_count(), rows
-
-    blocks = range(1 << hi)
-    workers = min(thread_count(), 1 << hi)
+    blocks = 1 << hi
+    workers = min(thread_count(), blocks)
+    cuts = [w * blocks // workers for w in range(workers + 1)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(scan_one, blocks)
-            merged = list(results)
+            results = list(pool.map(scan_range, cuts[:-1], cuts[1:]))
     else:
-        merged = [scan_one(b) for b in blocks]
+        results = [scan_range(0, blocks)]
 
-    best_i = [-1] * (n + 1)
-    wit_i = [0] * (n + 1)
-    big = n * n + 1
-    best_t = [big] * (n + 1)
-    wit_t = [0] * (n + 1)
-    # Blocks arrive in ascending high-mask order and high bits dominate
-    # the full mask, so "first strict improvement wins" keeps the
-    # numerically least witness overall.
-    for block, pch, rows in merged:
-        base = block << k
-        for c, (vi, li, vb, lb) in enumerate(rows):
-            m = pch + c
-            if vi > best_i[m]:
-                best_i[m] = vi
-                wit_i[m] = base | li
-            if vb < best_t[m]:
-                best_t[m] = vb
-                wit_t[m] = base | lb
-    return best_i, best_t, wit_i, wit_t
+    # Blocks are visited in Gray order, so ties are settled by comparing
+    # (value, full mask) keys, which keeps the least-mask witness.
+    best_i = [min(r[0][m] for r in results) for m in range(n + 1)]
+    best_t = [min(r[1][m] for r in results) for m in range(n + 1)]
+    return ([-v for v, _ in best_i], [v for v, _ in best_t],
+            [w for _, w in best_i], [w for _, w in best_t])
 
 
 # ============================================================

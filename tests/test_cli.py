@@ -297,6 +297,22 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err.startswith("internal error: inconsistent profile")
 
 
+def test_miscounted_witness_exit_code(capsys, monkeypatch):
+    import edgeiso.solver
+    real = edgeiso.solver._scan_gray
+
+    def miscounting(g):
+        induced, boundary, wit_i, wit_t = real(g)
+        wit_i = list(wit_i)
+        wit_i[2] = 0b101  # path(3): right size, but no edge inside
+        return induced, boundary, wit_i, wit_t
+
+    monkeypatch.setattr(edgeiso.solver, "_scan_gray", miscounting)
+    code, _, err = run_cli(capsys, "solve", "path(3)")
+    assert code == EXIT_INTERNAL
+    assert err.startswith("internal error: inconsistent profile")
+
+
 def test_help_exits_ok(capsys):
     assert run_cli(capsys, "--help")[0] == EXIT_OK
 

@@ -1,12 +1,16 @@
 """Profile scans, witnesses, and nested-solution searches."""
 
+import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_tables, brute_witnesses, random_graph
 from edgeiso.errors import CapacityError, InputError
-from edgeiso.graphs import boundary_edges, complete, empty_graph, path, star
+from edgeiso.graphs import (boundary_edges, cartesian_power, cartesian_product, complete,
+                            empty_graph, from_edge_list, path, star)
 from edgeiso.solver import (THREADS_ENV, IsoProfile, enumerate_optimal_orders,
                             has_ns, iso_profile, optimal_witnesses,
                             thread_count, verify_order)
@@ -55,6 +59,34 @@ def test_strategies_bit_identical():
         combos = iso_profile(g, strategy="combinations")
         assert profile_tuple(gray) == profile_tuple(blocks)
         assert profile_tuple(gray) == profile_tuple(combos)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_blocks_match_brute_oracles(data):
+    # Uneven Gray ranges per worker and every block width, down to one low bit.
+    n = data.draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [pair for pair, kept in zip(pairs, keep) if kept]
+    low_bits = data.draw(st.integers(1, n))
+    threads = data.draw(st.sampled_from(["1", "2", "3"]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(THREADS_ENV, threads)
+        prof = iso_profile(from_edge_list(n, edges), strategy="blocks", low_bits=low_bits)
+    assert (list(prof.induced), list(prof.boundary)) == brute_tables(n, edges)
+    assert (list(prof.induced_witness), list(prof.boundary_witness)) == brute_witnesses(n, edges)
+
+
+@pytest.mark.parametrize("g", [cartesian_power(complete(2), 4),
+                               cartesian_product(complete(3), complete(3))],
+                         ids=["complete(2)^4", "complete(3)xcomplete(3)"])
+def test_blocks_tie_heavy_graphs_equal_gray(g, monkeypatch):
+    # Vertex-transitive graphs tie at every size in many blocks, so the
+    # least-mask rule decides almost every witness.
+    monkeypatch.setenv(THREADS_ENV, "3")
+    blocks = iso_profile(g, strategy="blocks", low_bits=2)
+    assert profile_tuple(blocks) == profile_tuple(iso_profile(g, strategy="gray"))
 
 
 def test_auto_strategy_equals_gray():
@@ -123,6 +155,17 @@ def test_thread_count_env(monkeypatch):
         thread_count()
 
 
+def test_thread_count_default_follows_affinity(monkeypatch):
+    monkeypatch.delenv(THREADS_ENV, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+    assert thread_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert thread_count() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert thread_count() == 1
+
+
 def test_thread_count_does_not_change_output(monkeypatch):
     g = random_graph(random.Random(25), 14)
     outcomes = []
@@ -157,6 +200,19 @@ def test_profile_canary_rejects_corrupt_tables():
     with pytest.raises(RuntimeError):
         IsoProfile(g, good.induced, good.boundary,
                    (0, 0b11, 0b11, 0b111), good.boundary_witness)
+
+
+def test_profile_canary_recounts_witnesses():
+    # Path 0-1-2: {0, 2} has the right size but no inner edge and boundary 2.
+    g = path(3)
+    good = iso_profile(g)
+    assert good.induced[2] == 1 and good.boundary[2] == 1
+    with pytest.raises(RuntimeError):
+        IsoProfile(g, good.induced, good.boundary,
+                   (0, 0b1, 0b101, 0b111), good.boundary_witness)
+    with pytest.raises(RuntimeError):
+        IsoProfile(g, good.induced, good.boundary,
+                   good.induced_witness, (0, 0b1, 0b101, 0b111))
 
 
 # ------------------------------------------------------------

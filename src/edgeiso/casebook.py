@@ -1,10 +1,10 @@
 """Casebook: every finitely checkable claim the toolkit reproduces.
 
-Claims are data: an id, a one-sentence statement, a rough cost
-estimate, and a pipeline that recomputes the claim from scratch and
-returns pass or fail with artifacts.  The runner never drops a claim
-silently; anything skipped for budget reasons shows up as a skipped
-row with the reason attached.
+Claims are data: an id, a one-sentence statement, and a pipeline that
+recomputes the claim from scratch and returns pass or fail with
+artifacts.  The runner never drops a claim silently; a claim left out
+because the time budget was already spent shows up as a skipped row
+with the reason attached.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ Z2_REFERENCE_DELTA = (0, 1, 2, 3, 4, 5, 6, 7, 7, 6, 7, 8, 9, 10, 11, 12, 13)
 class Claim:
     id: str
     statement: str
-    estimated_seconds: int
     run: Callable[[], tuple[bool, dict]]
 
 
@@ -421,64 +420,64 @@ def _check_power_lex_cube27() -> tuple[bool, dict]:
 CLAIMS: tuple[Claim, ...] = (
     Claim("delta-complete",
           "the delta sequence of complete(n) is (0,1,...,n-1) for n = 2..6",
-          1, _check_delta_complete),
+          _check_delta_complete),
     Claim("delta-trees",
           "paths and stars on n vertices have delta (0,1,...,1) for n = 3..7",
-          1, _check_delta_trees),
+          _check_delta_trees),
     Claim("delta-petersen",
           "the Petersen graph has delta (0,1,1,1,2,1,2,2,2,3)",
-          1, _check_delta_petersen),
+          _check_delta_petersen),
     Claim("segment-structure",
           "monotone segment counts: complete(n) has 1, Petersen has 6 with starts "
           "(0,1,1,1,2,2), an n-vertex tree has n-1",
-          1, _check_segment_structure),
+          _check_segment_structure),
     Claim("dense-classification",
           "complete graphs are delta-dense; Petersen, paths, and stars are not",
-          1, _check_dense_classification),
+          _check_dense_classification),
     Claim("regular-identity",
           "boundary(A) + 2*induced(A) = r*|A| for every subset A of an r-regular graph",
-          10, _check_regular_identity),
+          _check_regular_identity),
     Claim("ns-gap-bound",
           "graphs with nested solutions never gain more than one extra delta step",
-          15, _check_ns_gap_bound),
+          _check_ns_gap_bound),
     Claim("diagram-weight-formula",
           "for compressed product sets the induced-edge count equals the per-cell "
           "delta sum",
-          20, _check_diagram_weight),
+          _check_diagram_weight),
     Claim("compressed-dp-exact",
           "the diagram DP matches brute force on small two-factor products",
-          5, _check_dp_exact),
+          _check_dp_exact),
     Claim("uniqueness-complete",
           "complete(3..5) squared have exactly two compressed optimal orders, "
           "lex and colex",
-          5, _check_uniqueness_complete),
+          _check_uniqueness_complete),
     Claim("uniqueness-z2",
           "Z(2) squared has exactly two compressed optimal orders, lex and colex",
-          10, _check_uniqueness_z2),
+          _check_uniqueness_z2),
     Claim("z2-counterexample",
           "Z(2) is irregular with an asymmetric delta, yet the lex chain is optimal "
           "at all 289 sizes of its square",
-          30, _check_z2_counterexample),
+          _check_z2_counterexample),
     Claim("z-construction",
           "only the 17-vertex reading of Z(2), X joined with two copies of Y, "
           "reproduces the reference delta",
-          5, _check_z_construction),
+          _check_z_construction),
     Claim("symmetry-regularity",
           "delta symmetry coincides with degree regularity across the corpus and "
           "100 random connected graphs",
-          30, _check_symmetry_regularity),
+          _check_symmetry_regularity),
     Claim("power-lex-spot",
           "numeric prefixes are optimal at every size of complete(2)^3 and "
           "complete(2)^4",
-          5, _check_power_lex_spot),
+          _check_power_lex_spot),
     Claim("power-lex-cube27",
           "numeric prefixes are optimal at every size of complete(3)^3 "
           "(full 2^27 scan)",
-          900, _check_power_lex_cube27),
+          _check_power_lex_cube27),
     Claim("power-lex-local-global",
           "lex is optimal at every size of complete(3)^d for d = 2..6 and "
           "complete(2)^d for d = 2..10 (iterated diagram DP)",
-          1, _check_power_lex_local_global),
+          _check_power_lex_local_global),
 )
 
 
@@ -489,9 +488,10 @@ def claim_ids() -> list[str]:
 def run_casebook(ids=None, max_seconds: int = 120) -> list[CasebookResult]:
     """Run the selected claims (all by default) within the time budget.
 
-    Claims whose cost estimate does not fit the remaining budget are
-    reported as skipped, never dropped.  A claim that raises is
-    reported with status ``error`` and the exception text.
+    A claim starts only while the measured time spent on the claims
+    before it is below ``max_seconds``; the rest are reported as
+    skipped, never dropped.  A claim that raises is reported with
+    status ``error`` and the exception text.
     """
     chosen = list(CLAIMS)
     if ids is not None:
@@ -503,11 +503,10 @@ def run_casebook(ids=None, max_seconds: int = 120) -> list[CasebookResult]:
     results = []
     spent = 0.0
     for claim in chosen:
-        if claim.estimated_seconds > max_seconds - spent:
+        if spent >= max_seconds:
             results.append(CasebookResult(
                 claim.id, claim.statement, "skipped",
-                {"reason": f"estimated {claim.estimated_seconds}s exceeds the "
-                           f"remaining {max(0, max_seconds - spent):.0f}s budget"}))
+                {"reason": f"the {max_seconds}s budget was spent before this claim"}))
             continue
         start = time.perf_counter()
         try:

@@ -202,6 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Set EDGEISO_THREADS to control scan workers (output is identical "
                "for any value).")
     sub = parser.add_subparsers(dest="command", required=True)
+    cap_help = (f"override the {solver_mod.EXHAUSTIVE_CAP}-vertex profile cap, "
+                f"up to the {solver_mod.SCAN_CEILING}-vertex ceiling")
 
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
@@ -211,16 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("delta", cmd_delta, "delta sequence, segments, density, symmetry")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=None, help="override the vertex cap")
+    p.add_argument("--cap", type=int, default=None, help=cap_help)
 
     p = add("solve", cmd_solve, "full induced/boundary optimum tables")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None, help=cap_help)
     p.add_argument("--csv", action="store_true", help="CSV profile output")
 
     p = add("ns", cmd_ns, "search for a nested-solution order")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None, help=cap_help)
 
     p = add("orders", cmd_orders, "enumerate optimal orders")
     p.add_argument("graph")
@@ -228,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("uniqueness", cmd_uniqueness, "compressed optimal orders of the square")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=None, help="override the vertex cap")
+    p.add_argument("--cap", type=int, default=None, help=cap_help)
     p.add_argument("--cap-chains", type=int, default=10, dest="cap_chains",
                    help="how many chains to list")
     p.add_argument("--count-limit", type=int, default=10_000, dest="count_limit",

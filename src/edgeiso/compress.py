@@ -9,15 +9,18 @@ non-increasing.
 
 For a compressed set the induced-edge count decomposes cell by cell,
 
-    count = sum over cells (x, y) of  dH(x+1) + dG(y+1),
+    count = sum over cells (x, y) of  dH[x] + dG[y],
 
-where dH, dG are the factor delta sequences (1-indexed).  That turns
-"best compressed set of size m" into a small dynamic program over
-columns, and chains of diagrams growing one cell at a time stand in for
-optimal vertex orders of the product.  Compression of an arbitrary
-product set (replacing each row and column section by an initial
-segment until fixpoint) never loses induced edges, which is what makes
-the diagram optimum the true optimum.
+where dH, dG are the factor delta sequences, indexed from 0 like the
+cells.  A column of height h at x therefore weighs h * dH[x] + P_G[h],
+with P_G[h] = dG[0] + ... + dG[h-1]; ``_column_weights`` is the one
+place that evaluates it.  That turns "best compressed set of size m"
+into a small dynamic program over columns, and chains of diagrams
+growing one cell at a time stand in for optimal vertex orders of the
+product.  Compression of an arbitrary product set (replacing each row
+and column section by an initial segment until fixpoint) never loses
+induced edges, which is what makes the diagram optimum the true
+optimum.
 """
 
 from __future__ import annotations
@@ -116,14 +119,12 @@ class Diagram:
         return f"Diagram({self.serialize()})"
 
 
-def _column_weights(dh: DeltaSequence, dg: DeltaSequence):
-    """colw[x][h] = weight of a height-h column at position x."""
-    ng = len(dg)
-    prefix_g = [0] * (ng + 1)
-    for h in range(1, ng + 1):
-        prefix_g[h] = prefix_g[h - 1] + dg.at(h)
-    return [[h * dh.at(x + 1) + prefix_g[h] for h in range(ng + 1)]
-            for x in range(len(dh))], prefix_g
+def _column_weights(dh: DeltaSequence, dg: DeltaSequence, columns) -> list[int]:
+    """h * dH[x] + P_G[h] for each (x, h) in ``columns``: the weight of
+    column x at height h."""
+    prefix_g = list(itertools.accumulate(dg.values, initial=0))
+    gain_h = dh.values
+    return [h * gain_h[x] + prefix_g[h] for x, h in columns]
 
 
 def diagram_weight(dh: DeltaSequence, dg: DeltaSequence, diagram: Diagram) -> int:
@@ -133,14 +134,14 @@ def diagram_weight(dh: DeltaSequence, dg: DeltaSequence, diagram: Diagram) -> in
     if diagram.box != (nh, ng):
         raise InputError(
             f"diagram box {diagram.box} does not match factors {nh}x{ng}")
-    colw, _ = _column_weights(dh, dg)
-    return sum(colw[x][h] for x, h in enumerate(diagram.heights))
+    return sum(_column_weights(dh, dg, enumerate(diagram.heights)))
 
 
 class DiagramOptimizer:
     """Best-compressed-set tables for one factor pair.
 
-    ``table[x][u, c]`` is the best total weight of columns x.. using u
+    ``colw[x][h]`` is the weight of column x at height h, and
+    ``table[x][u, c]`` the best total weight of columns x.. using u
     cells with every height at most c.  Built once, answers all sizes.
     """
 
@@ -150,8 +151,8 @@ class DiagramOptimizer:
         nh, ng = len(dh), len(dg)
         self.nh, self.ng = nh, ng
         total = nh * ng
-        colw, _ = _column_weights(dh, dg)
-        self.colw = colw
+        self.colw = colw = [_column_weights(dh, dg, [(x, h) for h in range(ng + 1)])
+                            for x in range(nh)]
         tables = [None] * (nh + 1)
         after = np.full((total + 1, ng + 1), _NEG, dtype=np.int64)
         after[0, :] = 0
@@ -413,8 +414,9 @@ def _lex_power_rows(dg: DeltaSequence, d: int) -> tuple[int, tuple[SizeCheck, ..
         optima = opt.optima()
         rows, steps = [], []
         weight = 0
+        gain_h, gain_g = dh.values, dg.values
         for m, (x, y) in enumerate(Diagram.lex_prefix(nh, ng, nh * ng).cells(), start=1):
-            step = dh.at(x + 1) + dg.at(y + 1)
+            step = gain_h[x] + gain_g[y]
             weight += step
             steps.append(step)
             good = weight == optima[m]

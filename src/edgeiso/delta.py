@@ -1,9 +1,10 @@
 """Delta sequences: per-step gains of the induced-edge optimum.
 
 delta(m) = I(m) - I(m-1) for m = 1..n.  The sequence starts at 0 and
-sums to the edge count.  Positions are 1-indexed throughout this
-module; ``DeltaSequence.at`` is the single conversion point from the
-0-indexed storage tuple.
+sums to the edge count.  The checks in this module number positions
+from 1 and read them through ``DeltaSequence.at``; code that walks
+the stored tuple directly, as the staircase weights in ``compress``
+do, indexes ``values`` from 0.
 
 Structure read off the sequence:
 

@@ -162,14 +162,24 @@ def as_mask(g: Graph, a) -> int:
 # Edge counting primitives
 # ============================================================
 
+def _edge_counts(adj, mask: int) -> tuple[int, int]:
+    """(induced, boundary) edges of the set ``mask``, counted vertex by
+    vertex: twice the induced count plus the boundary is the degree sum."""
+    inner2 = 0
+    degsum = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        row = adj[low.bit_length() - 1]
+        inner2 += (row & mask).bit_count()
+        degsum += row.bit_count()
+        rest ^= low
+    return inner2 // 2, degsum - inner2
+
+
 def induced_edges(g: Graph, a) -> int:
     """Number of edges with both endpoints in ``a``."""
-    mask = as_mask(g, a)
-    adj = g.adj
-    total = 0
-    for v in bit_indices(mask):
-        total += (adj[v] & mask).bit_count()
-    return total // 2
+    return _edge_counts(g.adj, as_mask(g, a))[0]
 
 
 def cross_edges(g: Graph, a, b) -> int:
@@ -190,13 +200,7 @@ def cross_edges(g: Graph, a, b) -> int:
 
 def boundary_edges(g: Graph, a) -> int:
     """Number of edges with exactly one endpoint in ``a``."""
-    mask = as_mask(g, a)
-    outside = g.full_mask & ~mask
-    adj = g.adj
-    total = 0
-    for v in bit_indices(mask):
-        total += (adj[v] & outside).bit_count()
-    return total
+    return _edge_counts(g.adj, as_mask(g, a))[1]
 
 
 def degrees(g: Graph) -> tuple[int, ...]:

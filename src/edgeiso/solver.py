@@ -6,7 +6,7 @@ the minimum boundary Theta(m), each with a witness set.  It also
 searches for vertex orders whose every prefix is optimal (nested
 solutions) and enumerates all such orders.
 
-Three scan strategies exist and must agree bit for bit:
+Two scan strategies exist and must agree bit for bit:
 
 * ``gray``          - pure-Python walk of the subsets in Gray-code
                       order; each step flips one vertex and updates the
@@ -22,11 +22,10 @@ Three scan strategies exist and must agree bit for bit:
                       results are merged by comparing (value, mask)
                       explicitly, so the output never depends on the
                       thread count.
-* ``combinations``  - per-size enumeration via itertools, kept as the
-                      slow independent reference.
 
 Witness ties always resolve to the numerically smallest bit mask, which
-is what makes the strategies comparable.
+is what makes the strategies comparable.  The brute reference oracles
+live in the test suite.
 """
 
 from __future__ import annotations
@@ -40,10 +39,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .graphs import Graph, VertexSet, as_mask, bit_indices, induced_edges
+from .graphs import Graph, VertexSet, _edge_counts, bit_indices
 
 # Exhaustive profile scans are capped here; order enumeration lower.
+# ``cap`` may move the profile limit, but never past SCAN_CEILING: the
+# 2^32 block scan takes seconds, and each vertex more doubles it.
 EXHAUSTIVE_CAP = 28
+SCAN_CEILING = 32
 ORDER_ENUM_CAP = 20
 
 THREADS_ENV = "EDGEISO_THREADS"
@@ -110,7 +112,7 @@ class IsoProfile:
                     ok = False
                     break
         if ok:
-            counts = {w: _recount(g.adj, w)
+            counts = {w: _edge_counts(g.adj, w)
                       for w in {*self.induced_witness, *self.boundary_witness}}
             for m in range(n + 1):
                 wi = self.induced_witness[m]
@@ -140,20 +142,6 @@ class IsoProfile:
             lines.append(
                 f"{m},{self.induced[m]},{self.boundary[m]},{hex(self.induced_witness[m])}")
         return "\n".join(lines) + "\n"
-
-
-def _recount(adj, mask: int) -> tuple[int, int]:
-    """(induced, boundary) edges of one set, counted vertex by vertex."""
-    inner2 = 0
-    degsum = 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        row = adj[low.bit_length() - 1]
-        inner2 += (row & mask).bit_count()
-        degsum += row.bit_count()
-        rest ^= low
-    return inner2 // 2, degsum - inner2
 
 
 class OptimalOrder(NamedTuple):
@@ -204,22 +192,24 @@ def iso_profile(g: Graph, strategy: str = "auto", cap: int | None = None,
                 low_bits: int | None = None) -> IsoProfile:
     """Exact I/Theta tables with witnesses for every cardinality.
 
-    ``strategy`` is one of auto, gray, blocks, combinations.  ``cap``
-    overrides the default vertex limit; ``low_bits`` shrinks the block
-    width (testing hook for the block merge logic).
+    ``strategy`` is one of auto, gray, blocks.  ``cap`` overrides the
+    default vertex limit up to ``SCAN_CEILING``; ``low_bits`` shrinks
+    the block width (testing hook for the block merge logic).
     """
     limit = EXHAUSTIVE_CAP if cap is None else cap
     if g.n > limit:
         raise CapacityError(
             f"profile scan on {g.n} vertices exceeds the {limit}-vertex cap")
+    if g.n > SCAN_CEILING:
+        raise CapacityError(
+            f"profile scan on {g.n} vertices exceeds the {SCAN_CEILING}-vertex "
+            f"ceiling, which no cap can raise")
     if strategy == "auto":
         strategy = "gray" if g.n <= _GRAY_MAX_N else "blocks"
     if strategy == "gray":
         tables = _scan_gray(g)
     elif strategy == "blocks":
         tables = _scan_blocks(g, low_bits=low_bits)
-    elif strategy == "combinations":
-        tables = _scan_combinations(g)
     else:
         raise InputError(f"unknown scan strategy {strategy!r}")
     return IsoProfile(g, *tables)
@@ -262,40 +252,15 @@ def _scan_gray(g: Graph):
     return best_i, best_t, wit_i, wit_t
 
 
-def _scan_combinations(g: Graph):
-    n = g.n
-    best_i = [0] * (n + 1)
-    wit_i = [0] * (n + 1)
-    best_t = [0] * (n + 1)
-    wit_t = [0] * (n + 1)
-    adj = g.adj
-    deg = [row.bit_count() for row in adj]
-    for m in range(1, n + 1):
-        bi, wi = -1, 0
-        bt, wt = n * n + 1, 0
-        for combo in itertools.combinations(range(n), m):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            inner2 = 0
-            degsum = 0
-            for v in combo:
-                inner2 += (adj[v] & mask).bit_count()
-                degsum += deg[v]
-            cur = inner2 // 2
-            bnd = degsum - inner2
-            if cur > bi or (cur == bi and mask < wi):
-                bi, wi = cur, mask
-            if bnd < bt or (bnd == bt and mask < wt):
-                bt, wt = bnd, mask
-        best_i[m], wit_i[m] = bi, wi
-        best_t[m], wit_t[m] = bt, wt
-    return best_i, best_t, wit_i, wit_t
+def _weighted_subset_sums(weights) -> np.ndarray:
+    """out[mask] = sum of weights[j] over the set bits of mask.
 
-
-def _weighted_subset_sums(weights, dtype) -> np.ndarray:
-    """out[mask] = sum of weights[j] over the set bits of mask."""
-    out = np.zeros(1 << len(weights), dtype=dtype)
+    int16 holds every table the block scan builds: each entry lies
+    within [-sum(deg), sum(deg)] (twice the induced edges, a boundary,
+    or twice the edges from one vertex), and under the scan ceiling
+    sum(deg) <= 32 * 31 = 992.
+    """
+    out = np.zeros(1 << len(weights), dtype=np.int16)
     size = 1
     for w in weights:
         if w:
@@ -313,13 +278,10 @@ def _scan_blocks(g: Graph, low_bits: int | None = None):
     if k < 1:
         raise InputError("block scan needs at least one low bit")
     hi = n - k
-    # Every table entry lies within [-sum(deg), sum(deg)]: twice the
-    # induced edges, a boundary, or twice the edges from one vertex.
-    dtype = np.int16 if sum(deg) < 1 << 15 else np.int32
 
     # Low masks sorted by (popcount, value); within a popcount class the
     # masks stay ascending, so a segment's first argmax is its least mask.
-    pc = _weighted_subset_sums([1] * k, dtype)
+    pc = _weighted_subset_sums([1] * k)
     order = np.argsort(pc, kind="stable")
     starts = list(itertools.accumulate((math.comb(k, c) for c in range(k)), initial=0))
     bounds = starts[1:] + [1 << k]
@@ -328,16 +290,16 @@ def _scan_blocks(g: Graph, low_bits: int | None = None):
     # Tables over the low masks, in that order: twice the induced edges
     # inside the low set, and its boundary in the whole graph.  Doubling
     # the induced count lets one row per high vertex update both.
-    ilow = np.zeros(1 << k, dtype=dtype)
+    ilow = np.zeros(1 << k, dtype=np.int16)
     size = 1
     for v in range(k):
         below = [(adj[v] >> j) & 1 for j in range(v)]
-        np.add(ilow[:size], _weighted_subset_sums(below, dtype), out=ilow[size:2 * size])
+        np.add(ilow[:size], _weighted_subset_sums(below), out=ilow[size:2 * size])
         size *= 2
     ind0 = 2 * ilow[order]
-    bnd0 = _weighted_subset_sums(deg[:k], dtype)[order] - ind0
+    bnd0 = _weighted_subset_sums(deg[:k])[order] - ind0
     # rows[j][x]: twice the edges from high vertex k + j into low set x.
-    rows = [_weighted_subset_sums([2 * (adj[v] >> u & 1) for u in range(k)], dtype)[order]
+    rows = [_weighted_subset_sums([2 * (adj[v] >> u & 1) for u in range(k)])[order]
             for v in range(k, n)]
 
     def scan_range(first: int, stop: int):
@@ -445,10 +407,7 @@ def optimal_witnesses(g: Graph, m: int, cap: int = 100,
     total = 0
     found: list[VertexSet] = []
     for mask in _masks_of_size(g.n, m):
-        inner2 = 0
-        for v in bit_indices(mask):
-            inner2 += (adj[v] & mask).bit_count()
-        if inner2 // 2 == target:
+        if _edge_counts(adj, mask)[0] == target:
             total += 1
             if len(found) < cap:
                 found.append(VertexSet.from_mask(g.n, mask))
@@ -589,17 +548,16 @@ def verify_order(g: Graph, order, profile: IsoProfile | None = None) -> OrderRep
 
 
 def enumerate_optimal_orders(g: Graph, cap: int = 10,
-                             profile: IsoProfile | None = None,
-                             vertex_cap: int = ORDER_ENUM_CAP):
+                             profile: IsoProfile | None = None):
     """All optimal orders: exact total count plus the first ``cap`` of
     them in lexicographic order.
 
     The count is a memoized walk over the DAG of optimal sets, so
     highly symmetric graphs are fine as long as 2^n stays desk scale.
     """
-    if g.n > vertex_cap:
+    if g.n > ORDER_ENUM_CAP:
         raise CapacityError(
-            f"order enumeration on {g.n} vertices exceeds the {vertex_cap}-vertex cap")
+            f"order enumeration on {g.n} vertices exceeds the {ORDER_ENUM_CAP}-vertex cap")
     prof = profile or iso_profile(g)
     dag = _PrefixDag(g.n, 0, _vertex_moves(g, prof.induced))
     total = dag.count()

@@ -257,7 +257,7 @@ def test_casebook_error_exit_code(capsys, monkeypatch):
     def broken():
         raise KeyError("missing artifact")
 
-    claim = edgeiso.casebook.Claim("broken", "a pipeline that raises", 1, broken)
+    claim = edgeiso.casebook.Claim("broken", "a pipeline that raises", broken)
     monkeypatch.setattr(edgeiso.casebook, "CLAIMS", edgeiso.casebook.CLAIMS + (claim,))
     code, out, _ = run_cli(capsys, "casebook", "--claim", "broken",
                            "--claim", "delta-petersen")
@@ -283,6 +283,18 @@ def test_capacity_exit_code(capsys):
     code, _, err = run_cli(capsys, "delta", "empty(29)")
     assert code == EXIT_CAPACITY
     assert "29" in err
+
+
+def test_cap_past_the_ceiling_exit_code(capsys, monkeypatch):
+    import edgeiso.solver
+
+    def forbidden(g, **kwargs):
+        raise AssertionError("scan started past the ceiling")
+
+    monkeypatch.setattr(edgeiso.solver, "_scan_blocks", forbidden)
+    code, _, err = run_cli(capsys, "solve", "empty(33)", "--cap", "40")
+    assert code == EXIT_CAPACITY
+    assert "32-vertex ceiling" in err
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -11,9 +11,9 @@ from conftest import brute_tables, brute_witnesses, random_graph
 from edgeiso.errors import CapacityError, InputError
 from edgeiso.graphs import (boundary_edges, cartesian_power, cartesian_product, complete,
                             empty_graph, from_edge_list, path, star)
-from edgeiso.solver import (THREADS_ENV, IsoProfile, enumerate_optimal_orders,
-                            has_ns, iso_profile, optimal_witnesses,
-                            thread_count, verify_order)
+from edgeiso.solver import (SCAN_CEILING, THREADS_ENV, IsoProfile,
+                            enumerate_optimal_orders, has_ns, iso_profile,
+                            optimal_witnesses, thread_count, verify_order)
 
 PETERSEN_INDUCED = (0, 0, 1, 2, 3, 5, 6, 8, 10, 12, 15)
 PETERSEN_BOUNDARY = (0, 3, 4, 5, 6, 5, 6, 5, 4, 3, 0)
@@ -43,7 +43,7 @@ def test_witnesses_are_least_optimal_masks():
     for _ in range(25):
         g = random_graph(rng, rng.randint(2, 6))
         wit_i, wit_t = brute_witnesses(g.n, g.edges())
-        for strategy in ("gray", "blocks", "combinations"):
+        for strategy in ("gray", "blocks"):
             prof = iso_profile(g, strategy=strategy)
             assert list(prof.induced_witness) == wit_i, strategy
             assert list(prof.boundary_witness) == wit_t, strategy
@@ -56,9 +56,10 @@ def test_strategies_bit_identical():
         gray = iso_profile(g, strategy="gray")
         # low_bits=3 forces many small blocks through the merge path
         blocks = iso_profile(g, strategy="blocks", low_bits=3)
-        combos = iso_profile(g, strategy="combinations")
         assert profile_tuple(gray) == profile_tuple(blocks)
-        assert profile_tuple(gray) == profile_tuple(combos)
+        assert (list(gray.induced), list(gray.boundary)) == brute_tables(g.n, g.edges())
+        assert (list(gray.induced_witness),
+                list(gray.boundary_witness)) == brute_witnesses(g.n, g.edges())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -124,8 +125,9 @@ def test_petersen_profile_frozen(pet, pet_profile):
 
 
 def test_unknown_strategy():
-    with pytest.raises(InputError):
-        iso_profile(complete(3), strategy="psychic")
+    for strategy in ("psychic", "combinations"):
+        with pytest.raises(InputError):
+            iso_profile(complete(3), strategy=strategy)
 
 
 def test_profile_capacity():
@@ -133,6 +135,23 @@ def test_profile_capacity():
         iso_profile(empty_graph(29))
     with pytest.raises(CapacityError):
         iso_profile(complete(5), cap=4)
+
+
+def test_cap_cannot_raise_past_the_ceiling(monkeypatch):
+    import edgeiso.solver as solver
+
+    class ScanStarted(Exception):
+        pass
+
+    def forbidden(g, **kwargs):
+        raise ScanStarted(g.n)
+
+    for name in ("_scan_gray", "_scan_blocks"):
+        monkeypatch.setattr(solver, name, forbidden)
+    with pytest.raises(CapacityError, match=f"{SCAN_CEILING}-vertex ceiling"):
+        iso_profile(empty_graph(SCAN_CEILING + 1), cap=40)
+    with pytest.raises(ScanStarted):  # a cap up to the ceiling is honoured
+        iso_profile(empty_graph(SCAN_CEILING), cap=SCAN_CEILING)
 
 
 def test_block_low_bits_validation():

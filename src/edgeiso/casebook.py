@@ -136,9 +136,12 @@ def _check_regular_identity() -> tuple[bool, dict]:
         reg, r = graphs_mod.is_regular(g)
         if not reg:
             return False, {"error": f"{g.display_name()} is not regular"}
+        full = (1 << g.n) - 1
         for _ in range(1000):
             mask = rng.getrandbits(g.n)
-            lhs = graphs_mod.boundary_edges(g, mask) + 2 * graphs_mod.induced_edges(g, mask)
+            # cross_edges counts the boundary apart from _edge_counts, whose
+            # two counts make up the degree sum by construction
+            lhs = graphs_mod.cross_edges(g, mask, full ^ mask) + 2 * graphs_mod.induced_edges(g, mask)
             if lhs != r * mask.bit_count():
                 return False, {"graph": g.display_name(), "mask": hex(mask)}
             checked += 1

@@ -137,12 +137,37 @@ def diagram_weight(dh: DeltaSequence, dg: DeltaSequence, diagram: Diagram) -> in
     return sum(_column_weights(dh, dg, enumerate(diagram.heights)))
 
 
-class DiagramOptimizer:
-    """Best-compressed-set tables for one factor pair.
+def _column_tables(dh: DeltaSequence, dg: DeltaSequence):
+    """Yield ``table[x]`` for x = n_h, ..., 0: ``table[x][u, c]`` is the
+    best total weight of columns x.. using u cells, every height at most
+    c.  Each needs only the one before, so a caller may drop the rest."""
+    nh, ng = len(dh), len(dg)
+    total = nh * ng
+    after = np.full((total + 1, ng + 1), _NEG, dtype=np.int64)
+    after[0, :] = 0
+    yield after
+    for x in range(nh - 1, -1, -1):
+        colw = _column_weights(dh, dg, [(x, h) for h in range(ng + 1)])
+        cur = np.empty((total + 1, ng + 1), dtype=np.int64)
+        run = np.full(total + 1, _NEG, dtype=np.int64)
+        for h in range(ng + 1):
+            np.maximum(run[h:], after[: total + 1 - h, h] + colw[h], out=run[h:])
+            cur[:, h] = run
+        yield cur
+        after = cur
 
-    ``colw[x][h]`` is the weight of column x at height h, and
-    ``table[x][u, c]`` the best total weight of columns x.. using u
-    cells with every height at most c.  Built once, answers all sizes.
+
+def _optima(dh: DeltaSequence, dg: DeltaSequence) -> list[int]:
+    """The diagram optimum at every size, keeping two tables at a time."""
+    for table in _column_tables(dh, dg):
+        pass
+    return table[:, len(dg)].tolist()
+
+
+class DiagramOptimizer:
+    """All n_h + 1 column-DP tables of one factor pair, ``tables[x]`` for
+    columns x.., kept for witnesses; ``colw[x][h]`` is the weight of
+    column x at height h.  ``_optima`` keeps two when no witness is read.
     """
 
     def __init__(self, dh: DeltaSequence, dg: DeltaSequence):
@@ -150,24 +175,9 @@ class DiagramOptimizer:
         self.dg = dg
         nh, ng = len(dh), len(dg)
         self.nh, self.ng = nh, ng
-        total = nh * ng
-        self.colw = colw = [_column_weights(dh, dg, [(x, h) for h in range(ng + 1)])
-                            for x in range(nh)]
-        tables = [None] * (nh + 1)
-        after = np.full((total + 1, ng + 1), _NEG, dtype=np.int64)
-        after[0, :] = 0
-        tables[nh] = after
-        for x in range(nh - 1, -1, -1):
-            cur = np.empty((total + 1, ng + 1), dtype=np.int64)
-            run = np.full(total + 1, _NEG, dtype=np.int64)
-            for h in range(ng + 1):
-                cand = np.full(total + 1, _NEG, dtype=np.int64)
-                cand[h:] = after[: total + 1 - h, h] + colw[x][h]
-                np.maximum(run, cand, out=run)
-                cur[:, h] = run
-            tables[x] = cur
-            after = cur
-        self.tables = tables
+        self.colw = [_column_weights(dh, dg, [(x, h) for h in range(ng + 1)])
+                     for x in range(nh)]
+        self.tables = list(_column_tables(dh, dg))[::-1]
 
     def optimum(self, m: int) -> int:
         if not 0 <= m <= self.nh * self.ng:
@@ -287,10 +297,6 @@ class CompressedChain:
             heights[x] += 1
         return Diagram(heights, self.box)
 
-    def diagrams(self):
-        for m in range(1, len(self.cells) + 1):
-            yield self.diagram(m)
-
     def classify(self) -> str:
         nh, ng = self.box
         if self.cells == tuple(Diagram.lex_prefix(nh, ng, nh * ng).cells()):
@@ -339,7 +345,7 @@ def enumerate_compressed_optimal_orders(g: Graph, cap: int = 10,
 def _enumerate_chains(dh: DeltaSequence, dg: DeltaSequence, cap: int,
                       count_limit: int) -> ChainSurvey:
     nh, ng = len(dh), len(dg)
-    optima = DiagramOptimizer(dh, dg).optima()
+    optima = _optima(dh, dg)
     steps = [optima[k + 1] - optima[k] for k in range(nh * ng)]
     gain_h, gain_g = dh.values, dg.values  # cell (x, y) weighs gain_h[x] + gain_g[y]
 
@@ -410,21 +416,15 @@ def _lex_power_rows(dg: DeltaSequence, d: int) -> tuple[int, tuple[SizeCheck, ..
     dh = dg
     for k in range(2, d + 1):
         nh, ng = len(dh), len(dg)
-        opt = DiagramOptimizer(dh, dg)
-        optima = opt.optima()
-        rows, steps = [], []
-        weight = 0
         gain_h, gain_g = dh.values, dg.values
-        for m, (x, y) in enumerate(Diagram.lex_prefix(nh, ng, nh * ng).cells(), start=1):
-            step = gain_h[x] + gain_g[y]
-            weight += step
-            steps.append(step)
-            good = weight == optima[m]
-            rows.append(SizeCheck(m, weight, optima[m],
-                                  good, None if good else opt.witness(m).serialize()))
-        rows = tuple(rows)
+        steps = [gain_h[x] + gain_g[y] for x, y in Diagram.lex_prefix(nh, ng, nh * ng).cells()]
+        optima = _optima(dh, dg)
+        rows = tuple(SizeCheck(m, w, optima[m], w == optima[m], None)
+                     for m, w in enumerate(itertools.accumulate(steps), start=1))
         if not all(row.ok for row in rows):
-            return k, rows
+            opt = DiagramOptimizer(dh, dg)  # all n_h + 1 tables, for this power's witnesses
+            return k, tuple(row if row.ok else row._replace(witness=opt.witness(row.size).serialize())
+                            for row in rows)
         dh = DeltaSequence(steps)
     return d, rows
 

@@ -448,23 +448,35 @@ class _PrefixDag:
     def count(self, limit: int | None = None) -> int:
         """Completions of the start state, min(total, limit)."""
         memo, moves, depth = self.memo, self.moves, self.depth
-
-        def completions(state, size: int) -> int:
-            if size == depth:
-                return 1
-            hit = memo.get(state)
-            if hit is not None:
-                return hit
-            total = 0
-            for _, child in moves(state, size):
-                total += completions(child, size + 1)
-                if limit is not None and total >= limit:
-                    total = limit
-                    break
+        if depth == 0:
+            return 1
+        if self.start in memo:
+            return memo[self.start]
+        cap = math.inf if limit is None else limit
+        # one frame per open state: [state, its moves, completions so far]
+        frames = [[self.start, moves(self.start, 0), 0]]
+        while True:
+            frame = frames[-1]
+            state, todo, total = frame
+            size = len(frames)  # size of the children ``todo`` yields
+            if total < cap:
+                for _, child in todo:
+                    known = 1 if size == depth else memo.get(child)
+                    if known is None:
+                        frames.append([child, moves(child, size), 0])
+                        break
+                    total += known
+                    if total >= cap:
+                        break
+                frame[2] = total
+                if frames[-1] is not frame:
+                    continue
+            total = min(total, cap)
             memo[state] = total
-            return total
-
-        return completions(self.start, 0)
+            frames.pop()
+            if not frames:
+                return total
+            frames[-1][2] += total
 
     def paths(self, cap: int) -> list[tuple]:
         """The first ``cap`` full label sequences, in label order."""

@@ -20,8 +20,8 @@ from edgeiso.compress import (Diagram, DiagramOptimizer, diagram_weight,
 from edgeiso.delta import (delta_of, gap_check, is_delta_dense,
                            nested_solution_form, regularity_crosscheck,
                            segments_of)
-from edgeiso.graphs import (boundary_edges, cartesian_power,
-                            cartesian_product, complete, cycle,
+from edgeiso.graphs import (cartesian_power, cartesian_product, complete,
+                            cross_edges, cycle,
                             from_edge_list, graph_union, graph_x, graph_y,
                             graph_z, induced_edges, is_regular, path,
                             petersen, star)
@@ -121,9 +121,12 @@ def test_criterion_04_regular_identity(capsys):
         if not reg:
             problems.append(f"{g.display_name()} not regular")
             continue
+        full = (1 << g.n) - 1
         for _ in range(1000):
             mask = rng.getrandbits(g.n)
-            if boundary_edges(g, mask) + 2 * induced_edges(g, mask) != r * mask.bit_count():
+            # cross_edges counts the boundary apart from _edge_counts, whose
+            # two counts make up the degree sum by construction
+            if cross_edges(g, mask, full ^ mask) + 2 * induced_edges(g, mask) != r * mask.bit_count():
                 problems.append(f"identity fails on {g.display_name()} mask {mask:#x}")
                 break
     report(capsys, 4, "regular identity, 54 graphs x 1000 subsets", 5,

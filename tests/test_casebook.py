@@ -127,6 +127,20 @@ def test_local_global_detects_a_failing_power(monkeypatch):
     assert result.artifacts["complete(2)^10"] == {"sizes": 1024, "ok": True}
 
 
+def test_regular_identity_detects_a_consistent_miscount(monkeypatch):
+    # induced +1 and boundary -2 on every non-empty set keeps the degree sum
+    real = edgeiso.graphs._edge_counts
+
+    def miscount(adj, mask):
+        induced, boundary = real(adj, mask)
+        return (induced + 1, boundary - 2) if mask else (induced, boundary)
+
+    monkeypatch.setattr(edgeiso.graphs, "_edge_counts", miscount)
+    result = run_casebook(["regular-identity"])[0]
+    assert result.status == "fail"
+    assert "mask" in result.artifacts
+
+
 def test_z_construction_artifacts():
     result = run_casebook(["z-construction"], max_seconds=600)[0]
     art = result.artifacts

@@ -1,6 +1,7 @@
 """Diagrams, the column DP, compression, chains, and order reports."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -345,12 +346,25 @@ def test_power_lex_check_guards_come_first(monkeypatch):
 
     monkeypatch.setattr(edgeiso.compress, "nested_solution_form", forbidden)
     monkeypatch.setattr(edgeiso.compress, "DiagramOptimizer", forbidden)
+    monkeypatch.setattr(edgeiso.compress, "_column_tables", forbidden)
     for mode in ("exhaustive", "compressed"):
         with pytest.raises(InputError):
             power_lex_check(complete(2), 0, mode=mode)
         for d in (13, 40):
             with pytest.raises(CapacityError):
                 power_lex_check(complete(2), d, mode=mode)
+
+
+def test_compressed_power_check_keeps_two_tables():
+    # all 2049 tables of complete(2)^12 would take about 200 MB; two take 200 kB
+    tracemalloc.start()
+    try:
+        report = power_lex_check(complete(2), 12, mode="compressed")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and len(report.rows) == 4096
+    assert peak < 16 * 2**20
 
 
 def rows_of(report):

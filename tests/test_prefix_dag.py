@@ -15,7 +15,7 @@ from conftest import brute_chains, brute_optimal_orders, brute_tables
 from edgeiso.compress import _enumerate_chains, enumerate_compressed_optimal_orders
 from edgeiso.delta import DeltaSequence
 from edgeiso.graphs import from_edge_list
-from edgeiso.solver import enumerate_optimal_orders, has_ns, iso_profile
+from edgeiso.solver import _PrefixDag, enumerate_optimal_orders, has_ns, iso_profile
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -99,3 +99,16 @@ def test_chainless_square_finishes():
     survey = enumerate_compressed_optimal_orders(g)
     assert survey.total == 0 and survey.exact
     assert survey.chains == ()
+
+
+def test_count_walks_deep_dags_without_recursion():
+    dag = _PrefixDag(5000, 0, lambda state, size: iter([(state, state + 1)]))
+    assert dag.count() == 1
+
+
+def test_chain_survey_over_1600_cells():
+    # K40 squared: only lex and colex hit the optimum at every size.
+    d = DeltaSequence(range(40))
+    survey = _enumerate_chains(d, d, cap=10, count_limit=10_000)
+    assert survey.total == 2 and survey.exact
+    assert survey.classifications == ("lex", "colex")

@@ -140,20 +140,23 @@ def diagram_weight(dh: DeltaSequence, dg: DeltaSequence, diagram: Diagram) -> in
 def _column_tables(dh: DeltaSequence, dg: DeltaSequence):
     """Yield ``table[x]`` for x = n_h, ..., 0: ``table[x][u, c]`` is the
     best total weight of columns x.. using u cells, every height at most
-    c.  Each needs only the one before, so a caller may drop the rest."""
+    c.  Each needs only the one before, so a caller may drop the rest.
+
+    Each table is stored with c on the row axis, so the loop writes and
+    reads whole contiguous rows; the yielded ``.T`` views index [u, c]."""
     nh, ng = len(dh), len(dg)
     total = nh * ng
-    after = np.full((total + 1, ng + 1), _NEG, dtype=np.int64)
-    after[0, :] = 0
-    yield after
+    after = np.full((ng + 1, total + 1), _NEG, dtype=np.int64)
+    after[:, 0] = 0
+    yield after.T
     for x in range(nh - 1, -1, -1):
         colw = _column_weights(dh, dg, [(x, h) for h in range(ng + 1)])
-        cur = np.empty((total + 1, ng + 1), dtype=np.int64)
+        cur = np.empty((ng + 1, total + 1), dtype=np.int64)
         run = np.full(total + 1, _NEG, dtype=np.int64)
         for h in range(ng + 1):
-            np.maximum(run[h:], after[: total + 1 - h, h] + colw[h], out=run[h:])
-            cur[:, h] = run
-        yield cur
+            np.maximum(run[h:], after[h, : total + 1 - h] + colw[h], out=run[h:])
+            cur[h] = run
+        yield cur.T
         after = cur
 
 

@@ -308,8 +308,9 @@ def test_criterion_11_slow_tier_cube27(capsys):
     gp = cartesian_power(base, 3)
     prof = iso_profile(gp, strategy="gray")
     cross = iso_profile(gp, strategy="blocks")
-    if (prof.induced, prof.induced_witness) != (cross.induced, cross.induced_witness):
-        problems.append("gray and block scans disagree")
+    for table in ("induced", "boundary", "induced_witness", "boundary_witness"):
+        if getattr(prof, table) != getattr(cross, table):
+            problems.append(f"gray and block scans disagree on {table}")
     mask = 0
     inner = 0
     gray_rows = []

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import brute_tables, brute_witnesses, random_graph
 from edgeiso.errors import CapacityError, InputError
 from edgeiso.graphs import (boundary_edges, cartesian_power, cartesian_product, complete,
-                            empty_graph, from_edge_list, path, star)
+                            degrees, empty_graph, from_edge_list, path, star)
 from edgeiso.solver import (SCAN_CEILING, THREADS_ENV, IsoProfile,
                             enumerate_optimal_orders, has_ns, iso_profile,
                             optimal_witnesses, thread_count, verify_order)
@@ -192,6 +192,18 @@ def test_thread_count_does_not_change_output(monkeypatch):
         monkeypatch.setenv(THREADS_ENV, workers)
         outcomes.append(profile_tuple(iso_profile(g, strategy="blocks", low_bits=8)))
     assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_production_width_blocks_equal_gray(monkeypatch):
+    # One vertex past the default block width: two full-width blocks,
+    # split across workers or walked by one.
+    import edgeiso.solver as solver
+    g = random_graph(random.Random(26), solver._BLOCK_LOW_BITS + 1)
+    assert len(set(degrees(g))) > 1
+    gray = profile_tuple(iso_profile(g, strategy="gray"))
+    for workers in ("1", "3"):
+        monkeypatch.setenv(THREADS_ENV, workers)
+        assert profile_tuple(iso_profile(g, strategy="blocks")) == gray, workers
 
 
 # ------------------------------------------------------------

@@ -28,6 +28,13 @@ Two scan strategies exist and must agree bit for bit:
 Witness ties always resolve to the numerically smallest bit mask, which
 is what makes the strategies comparable.  The brute reference oracles
 live in the test suite.
+
+On an r-regular graph every set A has Theta(A) = r*|A| - 2*e(A): the
+r*|A| edge ends at A's vertices are one end of each boundary edge and
+both ends of each inner edge.  So per size the boundary-optimal
+sets are exactly the induced-optimal ones, with the same least mask, and
+``iso_profile`` scans regular graphs for the induced table alone and
+derives the boundary table from it.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .graphs import Graph, VertexSet, _edge_counts, bit_indices
+from .graphs import Graph, VertexSet, _edge_counts, bit_indices, is_regular
 
 # Exhaustive profile scans are capped here; order enumeration lower.
 # ``cap`` may move the profile limit, but never past SCAN_CEILING: the
@@ -53,9 +60,10 @@ ORDER_ENUM_CAP = 20
 THREADS_ENV = "EDGEISO_THREADS"
 
 # At most 2^18 low subsets per vectorized block.  Each block step reads
-# and writes three int16 tables of 2^k entries (ind, bnd and one row):
-# 1.5 MB at k = 18, which fits a 2 MB per-core L2; at k = 20 they take
-# 6 MB and every block step misses that cache.
+# and writes three int16 tables of 2^k entries (ind, bnd and one row;
+# a regular graph keeps no bnd): 1.5 MB at k = 18, which fits a 2 MB
+# per-core L2; at k = 20 they take 6 MB and every block step misses
+# that cache.
 _BLOCK_LOW_BITS = 18
 _GRAY_MAX_N = 9  # auto scans up to here with gray, above with blocks
 
@@ -201,6 +209,13 @@ def iso_profile(g: Graph, strategy: str = "auto", cap: int | None = None,
     ``strategy`` is one of auto, gray, blocks.  ``cap`` overrides the
     default vertex limit up to ``SCAN_CEILING``; ``low_bits`` shrinks
     the block width (testing hook for the block merge logic).
+
+    An r-regular graph is scanned for the induced side only: there
+    Theta(A) = r*|A| - 2*e(A), since the r*|A| edge ends at A's vertices
+    are one end of each boundary edge and both ends of each inner edge.
+    So Theta(m) = r*m - 2*I(m), and the least induced witness is the
+    least boundary witness.  ``IsoProfile`` recounts
+    every boundary witness, so the derived table still certifies itself.
     """
     limit = EXHAUSTIVE_CAP if cap is None else cap
     if g.n > limit:
@@ -212,16 +227,23 @@ def iso_profile(g: Graph, strategy: str = "auto", cap: int | None = None,
             f"ceiling, which no cap can raise")
     if strategy == "auto":
         strategy = "gray" if g.n <= _GRAY_MAX_N else "blocks"
+    regular, r = is_regular(g)
     if strategy == "gray":
-        tables = _scan_gray(g)
+        tables = _scan_gray(g, boundary=not regular)
     elif strategy == "blocks":
-        tables = _scan_blocks(g, low_bits=low_bits)
+        tables = _scan_blocks(g, low_bits=low_bits, boundary=not regular)
     else:
         raise InputError(f"unknown scan strategy {strategy!r}")
-    return IsoProfile(g, *tables)
+    induced, boundary, induced_witness, boundary_witness = tables
+    if regular:
+        boundary = [r * m - 2 * e for m, e in enumerate(induced)]
+        boundary_witness = induced_witness
+    return IsoProfile(g, induced, boundary, induced_witness, boundary_witness)
 
 
-def _scan_gray(g: Graph):
+def _scan_gray(g: Graph, boundary: bool = True):
+    """(induced, boundary, induced witnesses, boundary witnesses); the
+    boundary pair is None when ``boundary`` is off."""
     n, adj = g.n, g.adj
     deg = [row.bit_count() for row in adj]
     best_i = [-1] * (n + 1)
@@ -251,10 +273,13 @@ def _scan_gray(g: Graph):
         if cur > best_i[size] or (cur == best_i[size] and mask < wit_i[size]):
             best_i[size] = cur
             wit_i[size] = mask
-        bnd = degsum - 2 * cur
-        if bnd < best_t[size] or (bnd == best_t[size] and mask < wit_t[size]):
-            best_t[size] = bnd
-            wit_t[size] = mask
+        if boundary:
+            bnd = degsum - 2 * cur
+            if bnd < best_t[size] or (bnd == best_t[size] and mask < wit_t[size]):
+                best_t[size] = bnd
+                wit_t[size] = mask
+    if not boundary:
+        return best_i, None, wit_i, None
     return best_i, best_t, wit_i, wit_t
 
 
@@ -277,7 +302,9 @@ def _weighted_subset_sums(weights) -> np.ndarray:
     return out
 
 
-def _scan_blocks(g: Graph, low_bits: int | None = None):
+def _scan_blocks(g: Graph, low_bits: int | None = None, boundary: bool = True):
+    """(induced, boundary, induced witnesses, boundary witnesses); with
+    ``boundary`` off no boundary table is kept and that pair is None."""
     n, adj = g.n, g.adj
     deg = [row.bit_count() for row in adj]
     k = min(n, _BLOCK_LOW_BITS if low_bits is None else low_bits)
@@ -294,8 +321,9 @@ def _scan_blocks(g: Graph, low_bits: int | None = None):
     starts_arr = np.array(starts)
 
     # Tables over the low masks, in that order: twice the induced edges
-    # inside the low set, and its boundary in the whole graph.  Doubling
-    # the induced count lets one row per high vertex update both.
+    # inside the low set, and (if ``boundary``) its boundary in the whole
+    # graph.  Doubling the induced count lets one row per high vertex
+    # update both.
     ilow = np.zeros(1 << k, dtype=np.int16)
     size = 1
     for v in range(k):
@@ -303,7 +331,7 @@ def _scan_blocks(g: Graph, low_bits: int | None = None):
         np.add(ilow[:size], _weighted_subset_sums(below), out=ilow[size:2 * size])
         size *= 2
     ind0 = 2 * ilow[order]
-    bnd0 = _weighted_subset_sums(deg[:k])[order] - ind0
+    bnd0 = _weighted_subset_sums(deg[:k])[order] - ind0 if boundary else None
     # rows[j][x]: twice the edges from high vertex k + j into low set x.
     rows = [_weighted_subset_sums([2 * (adj[v] >> u & 1) for u in range(k)])[order]
             for v in range(k, n)]
@@ -317,10 +345,12 @@ def _scan_blocks(g: Graph, low_bits: int | None = None):
         high = first ^ (first >> 1)
         ind, bnd = ind0, bnd0  # a lone block 0 only reads the shared tables
         if stop - first > 1 or high:
-            ind, bnd = ind0.copy(), bnd0.copy()
+            ind = ind0.copy()
+            bnd = bnd0.copy() if boundary else None
             for j in bit_indices(high):
                 ind += rows[j]
-                bnd -= rows[j]
+                if boundary:
+                    bnd -= rows[j]
         full = high << k
         ih = sum((adj[v] & full).bit_count() for v in bit_indices(full)) // 2
         dh = sum(deg[v] for v in bit_indices(full))
@@ -333,30 +363,32 @@ def _scan_blocks(g: Graph, low_bits: int | None = None):
                 gained = (adj[v] & full).bit_count()
                 if high >> j & 1:
                     ind += rows[j]
-                    bnd -= rows[j]
+                    if boundary:
+                        bnd -= rows[j]
                     ih += gained
                     dh += deg[v]
                 else:
                     ind -= rows[j]
-                    bnd += rows[j]
+                    if boundary:
+                        bnd += rows[j]
                     ih -= gained
                     dh -= deg[v]
             pch = high.bit_count()
-            seg_i = np.maximum.reduceat(ind, starts_arr).tolist()
-            seg_b = np.minimum.reduceat(bnd, starts_arr).tolist()
-            for c in range(k + 1):
-                m = pch + c
-                # a tie beats the kept witness only from a lower block
-                key = (-(seg_i[c] // 2 + ih), full)
-                if key < best_i[m]:
+            # a tie beats the kept witness only from a lower block
+            for c, top in enumerate(np.maximum.reduceat(ind, starts_arr).tolist()):
+                key = (-(top // 2 + ih), full)
+                if key < best_i[pch + c]:
                     lo = starts[c]
                     p = int(np.argmax(ind[lo:bounds[c]]))
-                    best_i[m] = (key[0], full | int(order[lo + p]))
-                key = (seg_b[c] + dh - 2 * ih, full)
-                if key < best_t[m]:
+                    best_i[pch + c] = (key[0], full | int(order[lo + p]))
+            if not boundary:
+                continue
+            for c, low in enumerate(np.minimum.reduceat(bnd, starts_arr).tolist()):
+                key = (low + dh - 2 * ih, full)
+                if key < best_t[pch + c]:
                     lo = starts[c]
                     p = int(np.argmin(bnd[lo:bounds[c]]))
-                    best_t[m] = (key[0], full | int(order[lo + p]))
+                    best_t[pch + c] = (key[0], full | int(order[lo + p]))
         return best_i, best_t
 
     blocks = 1 << hi
@@ -371,9 +403,11 @@ def _scan_blocks(g: Graph, low_bits: int | None = None):
     # Blocks are visited in Gray order, so ties are settled by comparing
     # (value, full mask) keys, which keeps the least-mask witness.
     best_i = [min(r[0][m] for r in results) for m in range(n + 1)]
+    induced, induced_witness = [-v for v, _ in best_i], [w for _, w in best_i]
+    if not boundary:
+        return induced, None, induced_witness, None
     best_t = [min(r[1][m] for r in results) for m in range(n + 1)]
-    return ([-v for v, _ in best_i], [v for v, _ in best_t],
-            [w for _, w in best_i], [w for _, w in best_t])
+    return induced, [v for v, _ in best_t], induced_witness, [w for _, w in best_t]
 
 
 # ============================================================

@@ -25,7 +25,7 @@ from edgeiso.graphs import (cartesian_power, cartesian_product, complete,
                             from_edge_list, graph_union, graph_x, graph_y,
                             graph_z, induced_edges, is_regular, path,
                             petersen, star)
-from edgeiso.solver import has_ns, iso_profile
+from edgeiso.solver import _scan_blocks, has_ns, iso_profile
 
 PETERSEN_DELTA = (0, 1, 1, 1, 2, 1, 2, 2, 2, 3)
 
@@ -311,6 +311,11 @@ def test_criterion_11_slow_tier_cube27(capsys):
     for table in ("induced", "boundary", "induced_witness", "boundary_witness"):
         if getattr(prof, table) != getattr(cross, table):
             problems.append(f"gray and block scans disagree on {table}")
+    # complete(3)^3 is regular, so both profiles derive the boundary side
+    # from the induced one; the two-table block scan counts it directly.
+    _, boundary, _, boundary_witness = _scan_blocks(gp, boundary=True)
+    if (prof.boundary, prof.boundary_witness) != (tuple(boundary), tuple(boundary_witness)):
+        problems.append("derived boundary side disagrees with the two-table block scan")
     mask = 0
     inner = 0
     gray_rows = []

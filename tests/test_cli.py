@@ -313,8 +313,8 @@ def test_miscounted_witness_exit_code(capsys, monkeypatch):
     import edgeiso.solver
     real = edgeiso.solver._scan_gray
 
-    def miscounting(g):
-        induced, boundary, wit_i, wit_t = real(g)
+    def miscounting(g, **kwargs):
+        induced, boundary, wit_i, wit_t = real(g, **kwargs)
         wit_i = list(wit_i)
         wit_i[2] = 0b101  # path(3): right size, but no edge inside
         return induced, boundary, wit_i, wit_t

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from conftest import brute_tables, brute_witnesses, random_graph
 from edgeiso.errors import CapacityError, InputError
 from edgeiso.graphs import (boundary_edges, cartesian_power, cartesian_product, complete,
-                            degrees, empty_graph, from_edge_list, path, star)
+                            cycle, degrees, empty_graph, from_edge_list, is_regular, path,
+                            petersen, star)
 from edgeiso.solver import (SCAN_CEILING, THREADS_ENV, IsoProfile,
                             enumerate_optimal_orders, has_ns, iso_profile,
                             optimal_witnesses, thread_count, verify_order)
@@ -204,6 +205,78 @@ def test_production_width_blocks_equal_gray(monkeypatch):
     for workers in ("1", "3"):
         monkeypatch.setenv(THREADS_ENV, workers)
         assert profile_tuple(iso_profile(g, strategy="blocks")) == gray, workers
+
+
+# ------------------------------------------------------------
+# Regular graphs: the boundary table is derived from the induced one
+# ------------------------------------------------------------
+
+def circulant(n, steps):
+    """C_n(S): vertex i joined to i +- s (mod n) for each s in S."""
+    return from_edge_list(n, {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps})
+
+
+@st.composite
+def regular_graphs(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 12))
+        steps = st.sets(st.integers(1, n // 2), max_size=3) if n > 1 else st.just(set())
+        return circulant(n, draw(steps))
+    a = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return cartesian_product(complete(a), cycle(draw(st.integers(3, 12 // max(a, 2)))))
+    return cartesian_product(complete(a), complete(draw(st.integers(1, 12 // max(a, 2)))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(regular_graphs(), st.data())
+def test_regular_graphs_match_brute_oracles(g, data):
+    assert is_regular(g)[0]
+    strategy = data.draw(st.sampled_from(["auto", "gray", "blocks"]))
+    low_bits = data.draw(st.integers(1, g.n))
+    threads = data.draw(st.sampled_from(["1", "2", "3"]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(THREADS_ENV, threads)
+        prof = iso_profile(g, strategy=strategy, low_bits=low_bits)
+    edges = g.edges()
+    assert (list(prof.induced), list(prof.boundary)) == brute_tables(g.n, edges)
+    assert (list(prof.induced_witness),
+            list(prof.boundary_witness)) == brute_witnesses(g.n, edges)
+
+
+def test_production_width_regular_equals_two_table_scan(monkeypatch):
+    # 20 vertices, 4-regular: four full-width blocks.  The two-table scan
+    # is the irregular path, so it is the oracle for the derived rows.
+    import edgeiso.solver as solver
+    g = cartesian_product(petersen(), complete(2))
+    assert is_regular(g) == (True, 4)
+    for workers in ("1", "3"):
+        monkeypatch.setenv(THREADS_ENV, workers)
+        full = solver._scan_blocks(g, boundary=True)
+        assert profile_tuple(iso_profile(g)) == tuple(tuple(t) for t in full), workers
+
+
+def test_only_irregular_graphs_scan_the_boundary(monkeypatch):
+    import edgeiso.solver as solver
+    seen = []
+
+    def recording(name):
+        real = getattr(solver, name)
+
+        def scan(g, **kwargs):
+            seen.append((name, kwargs["boundary"]))
+            return real(g, **kwargs)
+        return scan
+
+    for name in ("_scan_gray", "_scan_blocks"):
+        monkeypatch.setattr(solver, name, recording(name))
+    irregular = random_graph(random.Random(27), 12)
+    assert not is_regular(irregular)[0]
+    for g in (irregular, petersen()):
+        for strategy in ("gray", "blocks"):
+            iso_profile(g, strategy=strategy, low_bits=6)
+    assert seen == [("_scan_gray", True), ("_scan_blocks", True),
+                    ("_scan_gray", False), ("_scan_blocks", False)]
 
 
 # ------------------------------------------------------------

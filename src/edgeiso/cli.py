@@ -5,7 +5,7 @@ expression (complete(4), join(X,Y), power(complete(2),3), ...).  Exit
 codes: 0 all requested checks passed, 1 a check failed, 2 bad usage or
 input, 3 capacity exceeded, 4 an internal invariant was violated (a
 solver self-check).  The EDGEISO_THREADS environment variable sets the
-worker count for big profile scans; any value produces identical output.
+worker count (1..solver.MAX_THREADS) for big scans; output never depends on it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def _emit(args, payload: dict, human: str) -> None:
 
 def cmd_delta(args) -> int:
     g = load_graph(args.graph)
-    prof = solver_mod.iso_profile(g, cap=args.cap)
+    prof = solver_mod.iso_profile(g)
     search = solver_mod.has_ns(g, prof)
     d = delta_mod.delta_of(prof, ns_order=search.order)
     seg = delta_mod.segments_of(d)
@@ -63,7 +63,7 @@ def cmd_delta(args) -> int:
 
 def cmd_solve(args) -> int:
     g = load_graph(args.graph)
-    prof = solver_mod.iso_profile(g, cap=args.cap)
+    prof = solver_mod.iso_profile(g)
     if args.csv:
         print(prof.to_csv(), end="")
         return EXIT_OK
@@ -77,7 +77,7 @@ def cmd_solve(args) -> int:
 
 def cmd_ns(args) -> int:
     g = load_graph(args.graph)
-    prof = solver_mod.iso_profile(g, cap=args.cap)
+    prof = solver_mod.iso_profile(g)
     search = solver_mod.has_ns(g, prof)
     payload = {
         "graph": g.display_name(),
@@ -100,7 +100,7 @@ def cmd_ns(args) -> int:
 
 def cmd_orders(args) -> int:
     g = load_graph(args.graph)
-    orders, total = solver_mod.enumerate_optimal_orders(g, cap=args.cap)
+    orders, total = solver_mod.enumerate_optimal_orders(g, cap=args.listed)
     payload = {
         "graph": g.display_name(),
         "total": total,
@@ -114,11 +114,11 @@ def cmd_orders(args) -> int:
 
 def cmd_uniqueness(args) -> int:
     g = load_graph(args.graph)
-    prof = solver_mod.iso_profile(g, cap=args.cap)
+    prof = solver_mod.iso_profile(g)
     d = delta_mod.delta_of(prof)
     dense = delta_mod.is_delta_dense(d)
     survey = compress_mod.enumerate_compressed_optimal_orders(
-        g, cap=args.cap_chains, profile=prof, count_limit=args.count_limit)
+        g, cap=args.chains_listed, profile=prof, count_limit=args.count_limit)
     payload = {
         "graph": g.display_name(),
         "delta_dense": dense.ok,
@@ -199,39 +199,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgeiso",
         description="Exact edge-isoperimetric computations on small graphs.",
-        epilog="Set EDGEISO_THREADS to control scan workers (output is identical "
-               "for any value).")
+        epilog=f"Set EDGEISO_THREADS to control scan workers (output is identical "
+               f"for any value in 1..{solver_mod.MAX_THREADS}).")
     sub = parser.add_subparsers(dest="command", required=True)
-    cap_help = (f"override the {solver_mod.EXHAUSTIVE_CAP}-vertex profile cap, "
-                f"up to the {solver_mod.SCAN_CEILING}-vertex ceiling")
 
     def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
+        # no prefix matching: a stale --cap on uniqueness must not mean --cap-chains
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 
     p = add("delta", cmd_delta, "delta sequence, segments, density, symmetry")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=None, help=cap_help)
 
     p = add("solve", cmd_solve, "full induced/boundary optimum tables")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=None, help=cap_help)
     p.add_argument("--csv", action="store_true", help="CSV profile output")
 
     p = add("ns", cmd_ns, "search for a nested-solution order")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=None, help=cap_help)
 
     p = add("orders", cmd_orders, "enumerate optimal orders")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=10, help="how many orders to list")
+    p.add_argument("--cap", type=int, default=10, dest="listed", help="how many orders to list")
 
     p = add("uniqueness", cmd_uniqueness, "compressed optimal orders of the square")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=None, help=cap_help)
-    p.add_argument("--cap-chains", type=int, default=10, dest="cap_chains",
+    p.add_argument("--cap-chains", type=int, default=10, dest="chains_listed",
                    help="how many chains to list")
     p.add_argument("--count-limit", type=int, default=10_000, dest="count_limit",
                    help="stop counting chains past this many")
@@ -261,6 +256,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        solver_mod.thread_count()  # a bad EDGEISO_THREADS fails before any work
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,7 @@ from .delta import DeltaSequence, nested_solution_form
 from .errors import CapacityError, InputError
 from .graphs import (MAX_VERTICES, Graph, as_mask, bit_indices, cartesian_power,
                      cartesian_product, induced_edges)
-from .solver import IsoProfile, _PrefixDag, iso_profile, verify_order
+from .solver import SCAN_CEILING, IsoProfile, _PrefixDag, iso_profile, verify_order
 
 _NEG = -(1 << 50)  # impossible-state sentinel for the DP tables
 
@@ -453,9 +453,9 @@ def power_lex_check(g: Graph, d: int, mode: str = "exhaustive",
 
     The base graph is relabeled by its nested-solution order, so the
     first m labels of the power are the lex-least m coordinate tuples.
-    ``exhaustive`` scans all 2^(n^d) subsets of the power (within the
-    profile cap).  ``compressed`` inducts on the power with the diagram
-    DP and reaches the graph cap.  When lex first fails at a power
+    ``exhaustive`` scans all 2^(n^d) subsets of the power, up to the
+    32-vertex scan ceiling.  ``compressed`` inducts on the power with the
+    diagram DP and reaches the graph cap.  When lex first fails at a power
     k < d, its report covers g^k: a lex prefix of g^k sits in a copy of
     g^k inside g^d, so it fails in g^d too.
     """
@@ -466,6 +466,10 @@ def power_lex_check(g: Graph, d: int, mode: str = "exhaustive",
     if g.n ** d > MAX_VERTICES:
         raise CapacityError(
             f"power on {g.n}^{d} vertices exceeds the {MAX_VERTICES}-vertex cap")
+    if mode == "exhaustive" and g.n ** d > SCAN_CEILING:
+        raise CapacityError(
+            f"exhaustive check of {g.n}^{d} vertices exceeds the {SCAN_CEILING}-vertex "
+            f"ceiling; the compressed mode reaches further")
     base, dg = nested_solution_form(g, profile)
     name = g.display_name()
     if mode == "compressed":

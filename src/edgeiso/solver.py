@@ -50,14 +50,17 @@ import numpy as np
 from .errors import CapacityError, InputError
 from .graphs import Graph, VertexSet, _edge_counts, bit_indices, is_regular
 
-# Exhaustive profile scans are capped here; order enumeration lower.
-# ``cap`` may move the profile limit, but never past SCAN_CEILING: the
-# 2^32 block scan takes seconds, and each vertex more doubles it.
-EXHAUSTIVE_CAP = 28
+# The one profile-scan limit; no call or flag moves it.  A 2^32 scan takes
+# 0.6 s on a regular graph and 1.2 s on an irregular one (two cores); each
+# vertex more doubles that.  Order enumeration and witness listing stop lower.
 SCAN_CEILING = 32
 ORDER_ENUM_CAP = 20
+WITNESS_SCAN_LIMIT = 2_000_000
 
 THREADS_ENV = "EDGEISO_THREADS"
+# A 32-vertex scan has 2^14 blocks, one thread each at most; the bound stays
+# above large hosts' CPU counts, as perfbench exports EDGEISO_THREADS=nproc.
+MAX_THREADS = 256
 
 # At most 2^18 low subsets per vectorized block.  Each block step reads
 # and writes three int16 tables of 2^k entries (ind, bnd and one row;
@@ -80,8 +83,8 @@ def thread_count() -> int:
         value = int(raw)
     except ValueError:
         raise InputError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise InputError(f"{THREADS_ENV} must be >= 1, got {value}")
+    if not 1 <= value <= MAX_THREADS:
+        raise InputError(f"{THREADS_ENV} must be in 1..{MAX_THREADS}, got {value}")
     return value
 
 
@@ -202,13 +205,13 @@ class WitnessList(NamedTuple):
 # Profile scans
 # ============================================================
 
-def iso_profile(g: Graph, strategy: str = "auto", cap: int | None = None,
+def iso_profile(g: Graph, strategy: str = "auto",
                 low_bits: int | None = None) -> IsoProfile:
     """Exact I/Theta tables with witnesses for every cardinality.
 
-    ``strategy`` is one of auto, gray, blocks.  ``cap`` overrides the
-    default vertex limit up to ``SCAN_CEILING``; ``low_bits`` shrinks
-    the block width (testing hook for the block merge logic).
+    ``strategy`` is one of auto, gray, blocks; graphs past
+    ``SCAN_CEILING`` vertices are refused.  ``low_bits`` shrinks the
+    block width (testing hook for the block merge logic).
 
     An r-regular graph is scanned for the induced side only: there
     Theta(A) = r*|A| - 2*e(A), since the r*|A| edge ends at A's vertices
@@ -217,14 +220,9 @@ def iso_profile(g: Graph, strategy: str = "auto", cap: int | None = None,
     least boundary witness.  ``IsoProfile`` recounts
     every boundary witness, so the derived table still certifies itself.
     """
-    limit = EXHAUSTIVE_CAP if cap is None else cap
-    if g.n > limit:
-        raise CapacityError(
-            f"profile scan on {g.n} vertices exceeds the {limit}-vertex cap")
     if g.n > SCAN_CEILING:
         raise CapacityError(
-            f"profile scan on {g.n} vertices exceeds the {SCAN_CEILING}-vertex "
-            f"ceiling, which no cap can raise")
+            f"profile scan on {g.n} vertices exceeds the {SCAN_CEILING}-vertex ceiling")
     if strategy == "auto":
         strategy = "gray" if g.n <= _GRAY_MAX_N else "blocks"
     regular, r = is_regular(g)
@@ -429,18 +427,17 @@ def _masks_of_size(n: int, m: int):
 
 
 def optimal_witnesses(g: Graph, m: int, cap: int = 100,
-                      profile: IsoProfile | None = None,
-                      scan_limit: int = 2_000_000) -> WitnessList:
+                      profile: IsoProfile | None = None) -> WitnessList:
     """All size-m sets achieving I(m), ascending by mask, up to ``cap``.
 
     The total count is exact even when the returned list is truncated.
-    ``scan_limit`` bounds the C(n, m) enumeration.
+    ``WITNESS_SCAN_LIMIT`` bounds the C(n, m) enumeration.
     """
     if not 0 <= m <= g.n:
         raise InputError(f"size {m} out of range for n={g.n}")
-    if math.comb(g.n, m) > scan_limit:
-        raise CapacityError(
-            f"witness enumeration needs C({g.n},{m}) subsets, above the {scan_limit} limit")
+    if math.comb(g.n, m) > WITNESS_SCAN_LIMIT:
+        raise CapacityError(f"witness enumeration needs C({g.n},{m}) subsets, "
+                            f"above the {WITNESS_SCAN_LIMIT} limit")
     prof = profile or iso_profile(g)
     target = prof.induced[m]
     adj = g.adj

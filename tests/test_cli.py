@@ -279,22 +279,43 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "power-check", "complete(2)")[0] == EXIT_USAGE
 
 
-def test_capacity_exit_code(capsys):
-    code, _, err = run_cli(capsys, "delta", "empty(29)")
-    assert code == EXIT_CAPACITY
-    assert "29" in err
-
-
-def test_cap_past_the_ceiling_exit_code(capsys, monkeypatch):
+def forbid_scans(monkeypatch):
     import edgeiso.solver
 
     def forbidden(g, **kwargs):
-        raise AssertionError("scan started past the ceiling")
+        raise AssertionError("scan started")
 
-    monkeypatch.setattr(edgeiso.solver, "_scan_blocks", forbidden)
-    code, _, err = run_cli(capsys, "solve", "empty(33)", "--cap", "40")
+    for name in ("_scan_gray", "_scan_blocks"):
+        monkeypatch.setattr(edgeiso.solver, name, forbidden)
+
+
+def test_capacity_exit_code(capsys, monkeypatch):
+    forbid_scans(monkeypatch)
+    code, _, err = run_cli(capsys, "delta", "empty(33)")
+    assert code == EXIT_CAPACITY
+    assert "33" in err
+
+
+def test_scan_ceiling_exit_code(capsys, monkeypatch):
+    forbid_scans(monkeypatch)
+    code, _, err = run_cli(capsys, "solve", "empty(33)")
     assert code == EXIT_CAPACITY
     assert "32-vertex ceiling" in err
+    # no flag moves the ceiling; orders --cap is a listing count
+    for command in ("delta", "solve", "ns", "uniqueness"):
+        assert run_cli(capsys, command, "complete(3)", "--cap", "30")[0] == EXIT_USAGE
+    code, out, _ = run_cli(capsys, "solve", "--help")
+    assert code == EXIT_OK and "--csv" in out and "--cap" not in out
+
+
+def test_thread_bound_exit_code(capsys, monkeypatch):
+    from edgeiso.solver import MAX_THREADS, THREADS_ENV
+
+    forbid_scans(monkeypatch)
+    monkeypatch.setenv(THREADS_ENV, str(MAX_THREADS + 1))
+    code, _, err = run_cli(capsys, "solve", "complete(3)")
+    assert code == EXIT_USAGE
+    assert THREADS_ENV in err
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

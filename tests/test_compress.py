@@ -355,6 +355,27 @@ def test_power_lex_check_guards_come_first(monkeypatch):
                 power_lex_check(complete(2), d, mode=mode)
 
 
+def test_exhaustive_power_check_refuses_before_work(monkeypatch):
+    import edgeiso.delta
+    import edgeiso.solver
+
+    class WorkStarted(Exception):
+        pass
+
+    def forbidden(*args, **kwargs):
+        raise WorkStarted
+
+    monkeypatch.setattr(edgeiso.compress, "cartesian_power", forbidden)
+    monkeypatch.setattr(edgeiso.delta, "has_ns", forbidden)
+    for name in ("_scan_gray", "_scan_blocks"):
+        monkeypatch.setattr(edgeiso.solver, name, forbidden)
+    for base, d in ((complete(16), 3), (complete(4), 6), (complete(2), 6)):
+        with pytest.raises(CapacityError, match="32-vertex ceiling"):
+            power_lex_check(base, d)
+    with pytest.raises(WorkStarted):  # 2^5 = 32 vertices is within the ceiling
+        power_lex_check(complete(2), 5)
+
+
 def test_compressed_power_check_keeps_two_tables():
     # all 2049 tables of complete(2)^12 would take about 200 MB; two take 200 kB
     tracemalloc.start()

@@ -1,5 +1,6 @@
 """Profile scans, witnesses, and nested-solution searches."""
 
+import math
 import os
 import random
 
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import edgeiso.solver
 from conftest import brute_tables, brute_witnesses, random_graph
 from edgeiso.errors import CapacityError, InputError
 from edgeiso.graphs import (boundary_edges, cartesian_power, cartesian_product, complete,
                             cycle, degrees, empty_graph, from_edge_list, is_regular, path,
                             petersen, star)
-from edgeiso.solver import (SCAN_CEILING, THREADS_ENV, IsoProfile,
-                            enumerate_optimal_orders, has_ns, iso_profile,
+from edgeiso.solver import (MAX_THREADS, SCAN_CEILING, THREADS_ENV, WITNESS_SCAN_LIMIT,
+                            IsoProfile, enumerate_optimal_orders, has_ns, iso_profile,
                             optimal_witnesses, thread_count, verify_order)
 
 PETERSEN_INDUCED = (0, 0, 1, 2, 3, 5, 6, 8, 10, 12, 15)
@@ -131,28 +133,31 @@ def test_unknown_strategy():
             iso_profile(complete(3), strategy=strategy)
 
 
-def test_profile_capacity():
-    with pytest.raises(CapacityError):
-        iso_profile(empty_graph(29))
-    with pytest.raises(CapacityError):
-        iso_profile(complete(5), cap=4)
+class ScanStarted(Exception):
+    pass
 
 
-def test_cap_cannot_raise_past_the_ceiling(monkeypatch):
-    import edgeiso.solver as solver
-
-    class ScanStarted(Exception):
-        pass
-
+def forbid_scans(monkeypatch):
     def forbidden(g, **kwargs):
         raise ScanStarted(g.n)
 
     for name in ("_scan_gray", "_scan_blocks"):
-        monkeypatch.setattr(solver, name, forbidden)
+        monkeypatch.setattr(edgeiso.solver, name, forbidden)
+
+
+def test_profile_capacity(monkeypatch):
+    forbid_scans(monkeypatch)
     with pytest.raises(CapacityError, match=f"{SCAN_CEILING}-vertex ceiling"):
-        iso_profile(empty_graph(SCAN_CEILING + 1), cap=40)
-    with pytest.raises(ScanStarted):  # a cap up to the ceiling is honoured
-        iso_profile(empty_graph(SCAN_CEILING), cap=SCAN_CEILING)
+        iso_profile(empty_graph(SCAN_CEILING + 1))
+
+
+def test_scan_ceiling_is_the_one_limit(monkeypatch):
+    forbid_scans(monkeypatch)
+    for n in (29, SCAN_CEILING):  # both reach the scan with no argument
+        with pytest.raises(ScanStarted):
+            iso_profile(empty_graph(n))
+    with pytest.raises(TypeError):  # no call can move the ceiling
+        iso_profile(complete(3), cap=SCAN_CEILING + 1)
 
 
 def test_block_low_bits_validation():
@@ -170,9 +175,12 @@ def test_thread_count_env(monkeypatch):
     monkeypatch.setenv(THREADS_ENV, "zero")
     with pytest.raises(InputError):
         thread_count()
-    monkeypatch.setenv(THREADS_ENV, "0")
-    with pytest.raises(InputError):
-        thread_count()
+    monkeypatch.setenv(THREADS_ENV, str(MAX_THREADS))
+    assert thread_count() == MAX_THREADS
+    for bad in ("0", str(MAX_THREADS + 1), "16384"):
+        monkeypatch.setenv(THREADS_ENV, bad)
+        with pytest.raises(InputError):
+            thread_count()
 
 
 def test_thread_count_default_follows_affinity(monkeypatch):
@@ -338,11 +346,14 @@ def test_optimal_witnesses_cap_keeps_exact_total(pet, pet_profile):
     assert out.total == 70 and len(out.sets) == 5
 
 
-def test_optimal_witnesses_limits(pet):
+def test_optimal_witnesses_limits(pet, monkeypatch):
     with pytest.raises(InputError):
         optimal_witnesses(pet, 11)
+    # C(28, 14) > WITNESS_SCAN_LIMIT: refused before the profile scan
+    forbid_scans(monkeypatch)
+    assert math.comb(28, 14) > WITNESS_SCAN_LIMIT
     with pytest.raises(CapacityError):
-        optimal_witnesses(pet, 5, scan_limit=100)
+        optimal_witnesses(empty_graph(28), 14)
 
 
 # ------------------------------------------------------------

@@ -9,10 +9,13 @@ with the reason attached.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from . import compress as compress_mod
 from . import delta as delta_mod
@@ -136,16 +139,23 @@ def _check_regular_identity() -> tuple[bool, dict]:
         reg, r = graphs_mod.is_regular(g)
         if not reg:
             return False, {"error": f"{g.display_name()} is not regular"}
-        full = (1 << g.n) - 1
-        for _ in range(1000):
-            mask = rng.getrandbits(g.n)
-            # cross_edges counts the boundary apart from _edge_counts, whose
-            # two counts make up the degree sum by construction
-            lhs = graphs_mod.cross_edges(g, mask, full ^ mask) + 2 * graphs_mod.induced_edges(g, mask)
-            if lhs != r * mask.bit_count():
-                return False, {"graph": g.display_name(), "mask": hex(mask)}
-            checked += 1
+        masks = [rng.getrandbits(g.n) for _ in range(1000)]
+        member = (np.array(masks)[:, None] >> np.arange(g.n) & 1).astype(bool)
+        induced, _ = graphs_mod._edge_counts_many(g, member)
+        # the boundary is counted edge by edge, apart from the kernel, whose
+        # two counts make up the degree sum by construction
+        lhs = _crossing_counts(g, member) + 2 * induced
+        bad = np.flatnonzero(lhs != r * member.sum(axis=1))
+        if bad.size:
+            return False, {"graph": g.display_name(), "mask": hex(masks[bad[0]])}
+        checked += len(masks)
     return True, {"graphs": len(graphs), "subsets": checked}
+
+
+def _crossing_counts(g, member) -> np.ndarray:
+    """Edges uv with [u in A] != [v in A], for each row A of ``member``."""
+    ends = np.array(g.edges(), dtype=np.intp).reshape(-1, 2)
+    return np.count_nonzero(member[:, ends[:, 0]] != member[:, ends[:, 1]], axis=1)
 
 
 def _random_regular(rng: random.Random):
@@ -219,16 +229,12 @@ def _prefix_subgraph(g, k: int):
     return graphs_mod.from_edge_list(k, edges, name=f"prefix({g.display_name()},{k})")
 
 
-def _all_diagrams(nh: int, ng: int):
-    def rec(x: int, cap: int, heights):
-        if x == nh:
-            yield tuple(heights)
-            return
-        for h in range(cap + 1):
-            heights.append(h)
-            yield from rec(x + 1, h, heights)
-            heights.pop()
-    yield from rec(0, ng, [])
+def _all_diagrams(nh: int, ng: int) -> np.ndarray:
+    """Every staircase in the nh x ng box, one row of column heights
+    each, in lex order.  Heights h = ng - c run over the non-decreasing
+    rows c, so reversing c's lex order gives h's."""
+    rising = np.array(list(itertools.combinations_with_replacement(range(ng + 1), nh)))
+    return ng - rising[::-1]
 
 
 def _check_diagram_weight() -> tuple[bool, dict]:
@@ -239,25 +245,37 @@ def _check_diagram_weight() -> tuple[bool, dict]:
         for g_graph in factors:
             dg = delta_mod.delta_of(solver_mod.iso_profile(g_graph))
             product = graphs_mod.cartesian_product(h_graph, g_graph)
-            for heights in _all_diagrams(h_graph.n, g_graph.n):
-                diagram = compress_mod.Diagram(heights, (h_graph.n, g_graph.n))
-                direct = graphs_mod.induced_edges(product, diagram.product_mask())
-                if compress_mod.diagram_weight(dh, dg, diagram) != direct:
-                    return False, {"factors": (h_graph.display_name(), g_graph.display_name()),
-                                   "heights": list(heights)}
-                checked += 1
+            heights = _all_diagrams(h_graph.n, g_graph.n)
+            bad = _first_weight_mismatch(product, dh, dg, heights)
+            if bad is not None:
+                return False, {"factors": (h_graph.display_name(), g_graph.display_name()),
+                               "heights": heights[bad].tolist()}
+            checked += len(heights)
     rng = random.Random(17)
     for big in (graphs_mod.petersen(), graphs_mod.graph_z(2)):
         form, d = delta_mod.nested_solution_form(big)
         product = graphs_mod.cartesian_product(form, form)
-        for _ in range(1000):
-            heights = sorted((rng.randint(0, big.n) for _ in range(big.n)), reverse=True)
-            diagram = compress_mod.Diagram(heights, (big.n, big.n))
-            direct = graphs_mod.induced_edges(product, diagram.product_mask())
-            if compress_mod.diagram_weight(d, d, diagram) != direct:
-                return False, {"factors": big.display_name(), "heights": heights}
-            checked += 1
+        heights = np.array([sorted((rng.randint(0, big.n) for _ in range(big.n)), reverse=True)
+                            for _ in range(1000)])
+        bad = _first_weight_mismatch(product, d, d, heights)
+        if bad is not None:
+            return False, {"factors": big.display_name(), "heights": heights[bad].tolist()}
+        checked += len(heights)
     return True, {"diagrams_checked": checked}
+
+
+def _first_weight_mismatch(product, dh, dg, heights) -> int | None:
+    """Index of the first row of ``heights`` whose staircase has a
+    column-weight sum other than its induced-edge count in ``product``,
+    or None if every row agrees."""
+    nh, ng = len(dh), len(dg)
+    member = compress_mod.staircase_members(heights, ng)
+    direct, _ = graphs_mod._edge_counts_many(product, member)
+    columns = itertools.product(range(nh), range(ng + 1))
+    table = np.array(compress_mod._column_weights(dh, dg, columns)).reshape(nh, ng + 1)
+    formula = table[np.arange(nh), heights].sum(axis=1)
+    bad = np.flatnonzero(formula != direct)
+    return int(bad[0]) if bad.size else None
 
 
 def _check_dp_exact() -> tuple[bool, dict]:

@@ -119,6 +119,19 @@ class Diagram:
         return f"Diagram({self.serialize()})"
 
 
+def staircase_members(heights, ng: int) -> np.ndarray:
+    """Product-vertex membership of many staircases at once.
+
+    ``heights`` is a (k x n_h) array, one staircase's column heights per
+    row.  Row i of the (k x n_h * n_g) boolean result marks the cells of
+    staircase i under ``Diagram.product_mask``'s labeling: cell (x, y) is
+    vertex x * n_g + y, and it is in the set iff y < heights[i, x].
+    """
+    heights = np.asarray(heights)
+    k, nh = heights.shape
+    return (np.arange(ng) < heights[:, :, None]).reshape(k, nh * ng)
+
+
 def _column_weights(dh: DeltaSequence, dg: DeltaSequence, columns) -> list[int]:
     """h * dH[x] + P_G[h] for each (x, h) in ``columns``: the weight of
     column x at height h."""

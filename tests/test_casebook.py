@@ -5,11 +5,13 @@ results and assert that the recorded pipelines actually notice.  A
 casebook that cannot fail is not evidence of anything.
 """
 
+import random
 from types import SimpleNamespace
 
 import pytest
 
 import edgeiso.casebook
+import edgeiso.compress
 import edgeiso.delta
 import edgeiso.graphs
 from edgeiso.casebook import (CLAIMS, Z2_REFERENCE_DELTA, CasebookResult,
@@ -127,18 +129,78 @@ def test_local_global_detects_a_failing_power(monkeypatch):
     assert result.artifacts["complete(2)^10"] == {"sizes": 1024, "ok": True}
 
 
+def test_brute_force_claims_check_every_subset_and_diagram():
+    results = {r.id: r for r in run_casebook(["regular-identity", "diagram-weight-formula"])}
+    assert results["regular-identity"].artifacts == {"graphs": 54, "subsets": 54000}
+    assert results["diagram-weight-formula"].artifacts == {"diagrams_checked": 15574}
+
+
 def test_regular_identity_detects_a_consistent_miscount(monkeypatch):
     # induced +1 and boundary -2 on every non-empty set keeps the degree sum
-    real = edgeiso.graphs._edge_counts
+    real = edgeiso.graphs._edge_counts_many
 
-    def miscount(adj, mask):
-        induced, boundary = real(adj, mask)
-        return (induced + 1, boundary - 2) if mask else (induced, boundary)
+    def miscount(g, member):
+        induced, boundary = real(g, member)
+        nonempty = member.any(axis=1)
+        return induced + nonempty, boundary - 2 * nonempty
 
-    monkeypatch.setattr(edgeiso.graphs, "_edge_counts", miscount)
+    monkeypatch.setattr(edgeiso.graphs, "_edge_counts_many", miscount)
     result = run_casebook(["regular-identity"])[0]
     assert result.status == "fail"
     assert "mask" in result.artifacts
+
+
+def test_regular_identity_counts_the_boundary_apart(monkeypatch):
+    # the same miscount on the crossing side alone, with the kernel intact
+    real = edgeiso.casebook._crossing_counts
+
+    def miscount(g, member):
+        return real(g, member) - 2 * member.any(axis=1)
+
+    monkeypatch.setattr(edgeiso.casebook, "_crossing_counts", miscount)
+    result = run_casebook(["regular-identity"])[0]
+    assert result.status == "fail"
+    assert result.artifacts["graph"] == "petersen"
+    assert int(result.artifacts["mask"], 16) != 0
+
+
+def test_diagram_weight_detects_a_wrong_column_weight(monkeypatch):
+    # +1 on column 1 at every non-zero height
+    real = edgeiso.compress._column_weights
+
+    def skewed(dh, dg, columns):
+        columns = list(columns)
+        return [w + (x == 1 and h > 0) for (x, h), w in zip(columns, real(dh, dg, columns))]
+
+    monkeypatch.setattr(edgeiso.compress, "_column_weights", skewed)
+    result = run_casebook(["diagram-weight-formula"])[0]
+    assert result.status == "fail"
+    # staircases run in lex order: (0,0), (1,0), (1,1) is the first to use column 1
+    assert result.artifacts == {"factors": ("complete(2)", "complete(2)"), "heights": [1, 1]}
+
+
+@pytest.mark.parametrize("faulty_n", [None, 100])
+def test_diagram_weight_detects_a_direct_miscount(monkeypatch, faulty_n):
+    # +1 induced edge on full sets of every product, or on every set of
+    # Petersen squared alone
+    real = edgeiso.graphs._edge_counts_many
+
+    def miscount(g, member):
+        induced, boundary = real(g, member)
+        if faulty_n is None:
+            return induced + member.all(axis=1), boundary
+        return (induced + 1, boundary) if g.n == faulty_n else (induced, boundary)
+
+    monkeypatch.setattr(edgeiso.graphs, "_edge_counts_many", miscount)
+    result = run_casebook(["diagram-weight-formula"])[0]
+    assert result.status == "fail"
+    if faulty_n is None:
+        expected = {"factors": ("complete(2)", "complete(2)"), "heights": [2, 2]}
+    else:
+        rng = random.Random(17)
+        first = sorted((rng.randint(0, 10) for _ in range(10)), reverse=True)
+        expected = {"factors": "petersen", "heights": first}
+    assert result.artifacts == expected
 
 
 def test_z_construction_artifacts():

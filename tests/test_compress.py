@@ -11,7 +11,7 @@ import edgeiso.compress
 from edgeiso.compress import (CompressedChain, Diagram, DiagramOptimizer,
                               colex_chain, compress_set, diagram_weight,
                               enumerate_compressed_optimal_orders, lex_chain,
-                              power_lex_check, verify_lex_square)
+                              power_lex_check, staircase_members, verify_lex_square)
 from edgeiso.delta import delta_of, nested_solution_form
 from edgeiso.errors import CapacityError, InputError, NsRequiredError
 from edgeiso.graphs import (cartesian_power, cartesian_product, complete, cycle,
@@ -59,6 +59,17 @@ def test_diagram_cells_and_mask():
     assert list(d.cells()) == [(0, 0), (0, 1), (1, 0)]
     # labels x * 3 + y: cells 0, 1, 3
     assert d.product_mask() == 0b1011
+
+
+@pytest.mark.parametrize("box", [(1, 1), (3, 3), (2, 5), (4, 2), (0, 3), (3, 0)])
+def test_staircase_members_match_product_masks(box):
+    nh, ng = box
+    heights = list(all_heights(nh, ng))
+    member = staircase_members(heights, ng)
+    assert member.shape == (len(heights), nh * ng)
+    for hs, row in zip(heights, member.tolist()):
+        mask = Diagram(hs, box).product_mask()
+        assert row == [bool(mask >> v & 1) for v in range(nh * ng)]
 
 
 def test_diagram_serialization():

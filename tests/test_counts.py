@@ -1,7 +1,8 @@
 """Property tests for the two counting identities every check rests on.
 
 For a vertex set A, 2 * I(A) + Theta(A) is the degree sum over A: the
-edge-count kernel in ``graphs`` counts both sides at once.  For a
+edge-count kernel in ``graphs`` counts both sides at once, and its
+batched form counts many sets in one pass.  For a
 staircase in H x G with both factors in nested-solution order, the
 induced edges are the cell sum of dH[x] + dG[y]: ``compress`` turns that
 into column weights, the diagram DP and compression.  Each property is
@@ -9,22 +10,25 @@ checked against the set-based oracles in ``conftest`` or the exhaustive
 scan, on random factors relabeled by ``nested_solution_form``.
 """
 
+import random
+
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_boundary, brute_induced
 from edgeiso.compress import Diagram, DiagramOptimizer, compress_set, diagram_weight
 from edgeiso.delta import nested_solution_form
-from edgeiso.graphs import (_edge_counts, boundary_edges, cartesian_product, from_edge_list,
-                            induced_edges)
+from edgeiso.graphs import (_BATCH_ROWS, _edge_counts, _edge_counts_many, boundary_edges,
+                            cartesian_product, from_edge_list, induced_edges, petersen)
 from edgeiso.solver import iso_profile
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def random_graphs(draw, max_n: int):
-    n = draw(st.integers(1, max_n))
+def random_graphs(draw, max_n: int, min_n: int = 1):
+    n = draw(st.integers(min_n, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return from_edge_list(n, [pair for pair, kept in zip(pairs, keep) if kept])
@@ -34,10 +38,25 @@ def random_graphs(draw, max_n: int):
 ns_factors = random_graphs(5).map(nested_solution_form)
 
 
+# Products on 70..100 vertices: masks wider than any machine word.
+wide_products = st.builds(cartesian_product, random_graphs(10, min_n=7),
+                          random_graphs(10, min_n=10))
+
+
 def brute_counts(g, mask):
     members = [v for v in range(g.n) if mask >> v & 1]
     edges = g.edges()
     return brute_induced(edges, members), brute_boundary(edges, members)
+
+
+def check_batched_counts(g, masks):
+    """The batched kernel against the scalar kernel and the set oracles."""
+    member = np.array([[mask >> v & 1 for v in range(g.n)] for mask in masks],
+                      dtype=bool).reshape(len(masks), g.n)
+    induced, boundary = _edge_counts_many(g, member)
+    assert induced.shape == boundary.shape == (len(masks),)
+    for mask, got in zip(masks, zip(induced.tolist(), boundary.tolist())):
+        assert got == _edge_counts(g.adj, mask) == brute_counts(g, mask)
 
 
 @PROPERTY
@@ -47,6 +66,23 @@ def test_edge_count_kernel_matches_oracles(g, data):
     expected = brute_counts(g, mask)
     assert _edge_counts(g.adj, mask) == expected
     assert (induced_edges(g, mask), boundary_edges(g, mask)) == expected
+
+
+@PROPERTY
+@given(st.one_of(random_graphs(12), wide_products), st.integers(0, _BATCH_ROWS + 3),
+       st.randoms(use_true_random=False))
+def test_batched_edge_counts_match_scalar_kernel(g, extra, rng):
+    full = (1 << g.n) - 1
+    check_batched_counts(g, [0, full] + [rng.getrandbits(g.n) for _ in range(extra)])
+
+
+def test_batched_edge_counts_across_chunks_of_a_wide_product():
+    g = cartesian_product(petersen(), petersen())
+    rng = random.Random(5)
+    masks = [0, (1 << g.n) - 1] + [rng.getrandbits(g.n) for _ in range(2 * _BATCH_ROWS + 1)]
+    assert len(masks) % _BATCH_ROWS
+    check_batched_counts(g, masks)
+    check_batched_counts(g, [])
 
 
 @PROPERTY

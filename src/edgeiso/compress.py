@@ -25,7 +25,9 @@ optimum.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -80,7 +82,7 @@ class Diagram:
         return mask
 
     def serialize(self) -> str:
-        return ",".join(str(h) for h in self.heights)
+        return ",".join(map(str, self.heights))
 
     @classmethod
     def parse(cls, text: str, box: tuple[int, int]) -> "Diagram":
@@ -184,6 +186,10 @@ class DiagramOptimizer:
     """All n_h + 1 column-DP tables of one factor pair, ``tables[x]`` for
     columns x.., kept for witnesses; ``colw[x][h]`` is the weight of
     column x at height h.  ``_optima`` keeps two when no witness is read.
+
+    ``witnesses`` rebuilds the witnesses of many sizes together, one
+    numpy step per column, so a failing power costs n_h steps however
+    many of its rows fail; ``witness`` is its one-size case.
     """
 
     def __init__(self, dh: DeltaSequence, dg: DeltaSequence):
@@ -205,23 +211,38 @@ class DiagramOptimizer:
 
     def witness(self, m: int) -> Diagram:
         """Lexicographically least height vector among the optima."""
-        if not 0 <= m <= self.nh * self.ng:
-            raise InputError(f"size {m} outside the {self.nh}x{self.ng} box")
-        heights = []
-        remaining = m
-        cap = self.ng
+        return self.witnesses([m])[0]
+
+    def witnesses(self, sizes) -> list[Diagram]:
+        """``witness(m)`` for every m in ``sizes``, in the same order.
+
+        All sizes walk the columns together: at column x each takes the
+        least height h <= min(cap, remaining) with colw[x][h] +
+        tables[x + 1][remaining - h, h] equal to tables[x][remaining, cap],
+        so the reconstruction is n_h numpy steps however many sizes ask.
+        """
+        sizes = [operator.index(m) for m in sizes]  # a float would truncate in the int64 array
+        total = self.nh * self.ng
+        for m in sizes:
+            if not 0 <= m <= total:
+                raise InputError(f"size {m} outside the {self.nh}x{self.ng} box")
+        remaining = np.array(sizes, dtype=np.int64)
+        cap = np.full(len(sizes), self.ng, dtype=np.int64)
+        hs = np.arange(self.ng + 1)
+        heights = np.empty((self.nh, len(sizes)), dtype=np.int64)
         for x in range(self.nh):
-            want = int(self.tables[x][remaining, cap])
-            nxt = self.tables[x + 1]
-            for h in range(0, min(cap, remaining) + 1):
-                if self.colw[x][h] + int(nxt[remaining - h, h]) == want:
-                    heights.append(h)
-                    remaining -= h
-                    cap = h
-                    break
-            else:  # pragma: no cover - tables are exact
+            want = self.tables[x][remaining, cap]
+            allowed = hs <= np.minimum(cap, remaining)[:, None]
+            # a disallowed h may index a negative size; its value is masked off
+            cand = self.tables[x + 1][remaining[:, None] - hs, hs] + self.colw[x]
+            hit = allowed & (cand == want[:, None])
+            h = hit.argmax(axis=1)
+            if not hit.any(axis=1).all():  # tables are exact unless corrupted
                 raise RuntimeError("diagram witness reconstruction failed")
-        return Diagram(heights, (self.nh, self.ng))
+            heights[x] = h
+            remaining -= h
+            cap = h
+        return [Diagram(row, (self.nh, self.ng)) for row in heights.T.tolist()]
 
 
 # ============================================================
@@ -314,10 +335,9 @@ class CompressedChain:
         return Diagram(heights, self.box)
 
     def classify(self) -> str:
-        nh, ng = self.box
-        if self.cells == tuple(Diagram.lex_prefix(nh, ng, nh * ng).cells()):
+        if self.cells == _lex_cells(*self.box):
             return "lex"
-        if self.cells == _colex_cells(nh, ng):
+        if self.cells == _colex_cells(*self.box):
             return "colex"
         return "other"
 
@@ -328,12 +348,20 @@ class CompressedChain:
         return f"CompressedChain({self.classify()}, box={self.box})"
 
 
+@functools.cache
+def _lex_cells(nh: int, ng: int) -> tuple[tuple[int, int], ...]:
+    """Every cell of the box in lex order: column 0 bottom to top, then column 1, ..."""
+    return tuple((x, y) for x in range(nh) for y in range(ng))
+
+
+@functools.cache
 def _colex_cells(nh: int, ng: int) -> tuple[tuple[int, int], ...]:
+    """Every cell of the box in colex order: row 0 left to right, then row 1, ..."""
     return tuple((x, y) for y in range(ng) for x in range(nh))
 
 
 def lex_chain(nh: int, ng: int) -> CompressedChain:
-    return CompressedChain(tuple(Diagram.lex_prefix(nh, ng, nh * ng).cells()), (nh, ng))
+    return CompressedChain(_lex_cells(nh, ng), (nh, ng))
 
 
 def colex_chain(nh: int, ng: int) -> CompressedChain:
@@ -437,9 +465,11 @@ def _lex_power_rows(dg: DeltaSequence, d: int) -> tuple[int, tuple[SizeCheck, ..
         optima = _optima(dh, dg)
         rows = tuple(SizeCheck(m, w, optima[m], w == optima[m], None)
                      for m, w in enumerate(itertools.accumulate(steps), start=1))
-        if not all(row.ok for row in rows):
+        failing = [row.size for row in rows if not row.ok]
+        if failing:
             opt = DiagramOptimizer(dh, dg)  # all n_h + 1 tables, for this power's witnesses
-            return k, tuple(row if row.ok else row._replace(witness=opt.witness(row.size).serialize())
+            found = iter(opt.witnesses(failing))
+            return k, tuple(row if row.ok else row._replace(witness=next(found).serialize())
                             for row in rows)
         dh = DeltaSequence(steps)
     return d, rows

@@ -316,9 +316,10 @@ def cartesian_product(a: Graph, b: Graph) -> Graph:
         raise CapacityError(
             f"product on {a.n}*{b.n} vertices exceeds the {MAX_VERTICES}-vertex cap")
     edges = []
+    b_edges = b.edges()
     for x in range(a.n):
         base = x * b.n
-        for u, v in b.edges():
+        for u, v in b_edges:
             edges.append((base + u, base + v))
     for u, v in a.edges():
         for y in range(b.n):

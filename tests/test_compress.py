@@ -12,7 +12,7 @@ from edgeiso.compress import (CompressedChain, Diagram, DiagramOptimizer,
                               colex_chain, compress_set, diagram_weight,
                               enumerate_compressed_optimal_orders, lex_chain,
                               power_lex_check, staircase_members, verify_lex_square)
-from edgeiso.delta import delta_of, nested_solution_form
+from edgeiso.delta import DeltaSequence, delta_of, nested_solution_form
 from edgeiso.errors import CapacityError, InputError, NsRequiredError
 from edgeiso.graphs import (cartesian_power, cartesian_product, complete, cycle,
                             empty_graph, from_edge_list, induced_edges, named,
@@ -178,6 +178,98 @@ def test_optimizer_range_errors():
         opt.optimum(10)
     with pytest.raises(InputError):
         opt.witness(-1)
+
+
+@st.composite
+def optimizer_cases(draw):
+    """Small factor deltas, ties likely, and a size list that may be
+    empty, unsorted and repeated."""
+    nh, ng = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    dh = draw(st.lists(st.integers(0, 3), min_size=nh, max_size=nh))
+    dg = draw(st.lists(st.integers(0, 3), min_size=ng, max_size=ng))
+    sizes = draw(st.lists(st.integers(0, nh * ng), max_size=12))
+    return dh, dg, sizes
+
+
+def brute_lex_least_optima(dh, dg):
+    """Per size, the least optimal height vector of the whole box, with
+    weights summed cell by cell."""
+    best = {}
+    for heights in all_heights(len(dh), len(dg)):
+        w = sum(dh[x] + dg[y] for x, h in enumerate(heights) for y in range(h))
+        m = sum(heights)
+        if m not in best or w > best[m][0] or (w == best[m][0] and heights < best[m][1]):
+            best[m] = (w, heights)
+    return {m: heights for m, (_, heights) in best.items()}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(optimizer_cases())
+def test_witnesses_match_single_witness_and_brute_force(case):
+    dh, dg, sizes = case
+    opt = DiagramOptimizer(DeltaSequence(dh), DeltaSequence(dg))
+    got = opt.witnesses(sizes)
+    brute = brute_lex_least_optima(dh, dg)
+    assert [w.heights for w in got] == [brute[m] for m in sizes]
+    assert got == [opt.witness(m) for m in sizes]
+    assert all(w.box == (len(dh), len(dg)) for w in got)
+
+
+def test_witnesses_refuse_any_out_of_range_size_before_work():
+    opt = DiagramOptimizer(delta_for(complete(3)), delta_for(complete(3)))
+    assert opt.witnesses([]) == []
+    with pytest.raises(TypeError):
+        opt.witnesses([4, 2.5])
+    opt.tables = None  # any table read now fails with a TypeError
+    for sizes in ([10], [0, 4, 10], [-1, 3], [2, 9, 9, -1]):
+        with pytest.raises(InputError, match="outside the 3x3 box"):
+            opt.witnesses(sizes)
+
+
+def test_witnesses_refuse_a_table_only_a_disallowed_height_meets():
+    # a column may be no taller than the one before it (cap) nor than the
+    # cells left (remaining); a corrupt table that only such a height
+    # would meet is a failed reconstruction, not a witness
+    opt = DiagramOptimizer(DeltaSequence((0, 5, 5)), DeltaSequence((0, 1, 2)))
+    assert opt.witness(3).heights == (1, 1, 1)
+    # column 1 places 2 cells under cap 1; claim a height-2 column's value
+    taller = opt.colw[1][2] + opt.tables[2][0, 2]
+    opt.tables[1][2, 1] = taller
+    opt.tables[0][3, 3] = opt.colw[0][1] + taller
+    with pytest.raises(RuntimeError, match="reconstruction failed"):
+        opt.witnesses([3])
+
+    opt = DiagramOptimizer(delta_for(complete(3)), delta_for(complete(3)))
+    # size 1 with a first column of height 2 reads size -1, the table's last row
+    opt.tables[0][1, 3] = opt.colw[0][2] + opt.tables[1][-1, 2]
+    with pytest.raises(RuntimeError, match="reconstruction failed"):
+        opt.witnesses([0, 1])
+
+
+def test_failing_power_rebuilds_its_witnesses_in_one_batch(monkeypatch, pet):
+    calls = []
+    batched = DiagramOptimizer.witnesses
+
+    def counting(self, sizes):
+        sizes = list(sizes)
+        calls.append(sizes)
+        return batched(self, sizes)
+
+    def per_size(self, m):
+        raise AssertionError("a witness was rebuilt on its own")
+
+    monkeypatch.setattr(DiagramOptimizer, "witnesses", counting)
+    monkeypatch.setattr(DiagramOptimizer, "witness", per_size)
+    square = verify_lex_square(path(3))
+    assert calls == [[row.size for row in square.failures()]]
+    assert square.failures()[0].witness == "2,2,0"
+    calls.clear()
+    power = power_lex_check(pet, 3, mode="compressed")
+    assert len(power.failures()) == 16
+    assert calls == [[row.size for row in power.failures()]]
+    calls.clear()
+    assert power_lex_check(complete(2), 4, mode="compressed").ok
+    assert calls == []
 
 
 # ------------------------------------------------------------

@@ -13,7 +13,6 @@ from .graphs import (Graph, VertexSet, boundary_edges, cartesian_power,
                      empty_graph, from_edge_list, graph_union, graph_x, graph_y,
                      graph_z, induced_edges, is_regular, join, load_graph, named,
                      path, petersen, relabel, star)
-from .solver import (IsoProfile, enumerate_optimal_orders, has_ns, iso_profile,
-                     optimal_witnesses, verify_order)
+from .solver import IsoProfile, enumerate_optimal_orders, has_ns, iso_profile, verify_order
 
 __version__ = "0.1.0"

@@ -63,6 +63,15 @@ class Diagram:
         self.heights = hs
         self.box = (nh, ng)
 
+    @classmethod
+    def _unchecked(cls, heights: tuple[int, ...], box: tuple[int, int]) -> "Diagram":
+        """A diagram from heights its caller already bounds: n_h of them,
+        non-increasing, within the box.  Public construction validates."""
+        diagram = object.__new__(cls)
+        diagram.heights = heights
+        diagram.box = box
+        return diagram
+
     @property
     def size(self) -> int:
         return sum(self.heights)
@@ -242,7 +251,9 @@ class DiagramOptimizer:
             heights[x] = h
             remaining -= h
             cap = h
-        return [Diagram(row, (self.nh, self.ng)) for row in heights.T.tolist()]
+        # each h <= cap, the height before it, and h <= ng: the rows are staircases
+        box = (self.nh, self.ng)
+        return [Diagram._unchecked(tuple(row), box) for row in heights.T.tolist()]
 
 
 # ============================================================

@@ -52,10 +52,9 @@ from .graphs import Graph, VertexSet, _edge_counts, bit_indices, is_regular
 
 # The one profile-scan limit; no call or flag moves it.  A 2^32 scan takes
 # 0.6 s on a regular graph and 1.2 s on an irregular one (two cores); each
-# vertex more doubles that.  Order enumeration and witness listing stop lower.
+# vertex more doubles that.  Order enumeration stops lower.
 SCAN_CEILING = 32
 ORDER_ENUM_CAP = 20
-WITNESS_SCAN_LIMIT = 2_000_000
 
 THREADS_ENV = "EDGEISO_THREADS"
 # A 32-vertex scan has 2^14 blocks, one thread each at most; the bound stays
@@ -194,11 +193,6 @@ class OrderReport(NamedTuple):
             "rows": [row._asdict() for row in self.rows],
             "ok": self.ok,
         }
-
-
-class WitnessList(NamedTuple):
-    total: int
-    sets: tuple[VertexSet, ...]
 
 
 # ============================================================
@@ -409,49 +403,6 @@ def _scan_blocks(g: Graph, low_bits: int | None = None, boundary: bool = True):
 
 
 # ============================================================
-# Optimal witnesses per size
-# ============================================================
-
-def _masks_of_size(n: int, m: int):
-    """All n-bit masks of popcount m in ascending numeric order."""
-    if m == 0:
-        yield 0
-        return
-    x = (1 << m) - 1
-    top = 1 << n
-    while x < top:
-        yield x
-        u = x & -x
-        v = x + u
-        x = (((x ^ v) >> 2) // u) | v
-
-
-def optimal_witnesses(g: Graph, m: int, cap: int = 100,
-                      profile: IsoProfile | None = None) -> WitnessList:
-    """All size-m sets achieving I(m), ascending by mask, up to ``cap``.
-
-    The total count is exact even when the returned list is truncated.
-    ``WITNESS_SCAN_LIMIT`` bounds the C(n, m) enumeration.
-    """
-    if not 0 <= m <= g.n:
-        raise InputError(f"size {m} out of range for n={g.n}")
-    if math.comb(g.n, m) > WITNESS_SCAN_LIMIT:
-        raise CapacityError(f"witness enumeration needs C({g.n},{m}) subsets, "
-                            f"above the {WITNESS_SCAN_LIMIT} limit")
-    prof = profile or iso_profile(g)
-    target = prof.induced[m]
-    adj = g.adj
-    total = 0
-    found: list[VertexSet] = []
-    for mask in _masks_of_size(g.n, m):
-        if _edge_counts(adj, mask)[0] == target:
-            total += 1
-            if len(found) < cap:
-                found.append(VertexSet.from_mask(g.n, mask))
-    return WitnessList(total, tuple(found))
-
-
-# ============================================================
 # Nested solutions
 # ============================================================
 
@@ -465,7 +416,9 @@ def _optimum_table(profile: IsoProfile, side: str):
 
 class _PrefixDag:
     """The DAG of prefixes that hit the optimum at every size, walked by
-    the nested-solution search, order enumeration and chain surveys.
+    the nested-solution search, order listing and chain surveys.  Only
+    chain surveys call ``count``: vertex orders are counted by
+    ``_layered_count``, which hands its dead sets to ``memo``.
 
     A state is the minimal key of a prefix (a vertex mask, a diagram's
     heights); its value is the optimum at its size, so nothing else is
@@ -559,6 +512,98 @@ def _vertex_moves(g: Graph, target, by_boundary: bool = False):
     return moves
 
 
+# A layer step expands at most this many sets at once, which bounds its
+# temporaries however wide the layer: counting complete(20), whose widest
+# layer holds 184,756 sets, peaks near 52 MB of numpy memory, layers included.
+_LAYER_CHUNK = 1 << 14
+# Added to a vertex's edge count once it joins the set: the entry then
+# gains at most n - 1 <= 19 in all, so it stays negative (and within
+# int8) and never equals a step.
+_MEMBER = -64
+
+
+def _bit_matrix(masks: np.ndarray, n: int) -> np.ndarray:
+    """(len(masks) x n) uint8 matrix of the masks' bits, column v for vertex v."""
+    raw = masks.astype("<i8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(raw, axis=1, bitorder="little")[:, :n]
+
+
+def _dedupe_moves(children, counts, parents, vertices):
+    """Moves merged by child set: the sorted distinct children, their
+    summed path counts, and one (parent row, vertex) move into each."""
+    order = children.argsort(kind="stable")
+    children = children[order]
+    first = np.empty(len(children), dtype=bool)
+    first[:1] = True
+    np.not_equal(children[1:], children[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    rep = order[starts]
+    return (children[starts], np.add.reduceat(counts[order], starts),
+            parents[rep], vertices[rep])
+
+
+def _layered_count(g: Graph, target) -> tuple[int, np.ndarray]:
+    """(number of vertex orders whose every prefix hits ``target``, the
+    dead sets), counted one layer of optimal sets at a time.
+
+    Layer k is the sorted array of k-sets reachable from the empty set
+    through optimal prefixes.  Every reachable set hits the optimum, so
+    a reachable k-set and a reachable (k+1)-set containing it are always
+    joined by a move.  The forward pass builds layer k + 1 from one
+    vectorized step over layer k and one dedupe, summing path counts.
+    The backward pass finds the dead sets, the reachable sets with no
+    completion: a set is dead when every move out of it reaches a dead
+    set, counted against its out-degree from the forward pass.  Only the
+    layers and out-degrees are kept between the passes.
+    """
+    n = g.n
+    adj = np.array([[row >> u & 1 for u in range(n)] for row in g.adj], dtype=np.int8)
+    joined = adj.copy()  # adding vertex v adds joined[v] to the edge counts
+    np.fill_diagonal(joined, _MEMBER)
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
+    sets = np.zeros(1, dtype=np.int64)
+    into = np.zeros((1, n), dtype=np.int8)  # edges from each vertex into each set
+    # paths[i] counts the optimal prefixes ending in sets[i]: at most
+    # k! <= 20! < 2^63 under ORDER_ENUM_CAP, so int64 sums stay exact.
+    paths = np.ones(1, dtype=np.int64)
+    layers, outdeg = [], []
+    for k in range(n):
+        hit = into == target[k + 1] - target[k]
+        layers.append(sets)
+        outdeg.append(hit.sum(axis=1))
+        moves = (sets[:0], paths[:0], sets[:0], sets[:0])
+        for lo in range(0, len(sets), _LAYER_CHUNK):
+            # vertex-major, so each vertex's children come out sorted; a
+            # move adds an absent vertex, so + sets its bit
+            cols, rows = hit[lo:lo + _LAYER_CHUNK].T.nonzero()
+            rows += lo
+            found = (sets[rows] + bits[cols], paths[rows], rows, cols)
+            if lo:
+                found = [np.concatenate(pair) for pair in zip(moves, found)]
+            moves = _dedupe_moves(*found)
+        sets, paths, parent, vertex = moves
+        into = into[parent] + joined[vertex]
+    total = int(paths.sum())  # the full set's count, or 0 if no prefix reached it
+
+    # A layer past the last reachable one is empty, so the deepest
+    # reachable layer has no moves and is all dead.
+    dead = []
+    gone = sets[:0]  # dead sets of the layer above; the full set is live
+    for k in range(n - 1, -1, -1):
+        sets = layers[k]
+        dead_children = np.zeros(len(sets), dtype=np.int64)
+        for lo in range(0, len(gone), _LAYER_CHUNK):
+            chunk = gone[lo:lo + _LAYER_CHUNK]
+            rows, cols = _bit_matrix(chunk, n).nonzero()
+            parents = chunk[rows] - bits[cols]
+            pos = sets.searchsorted(parents)
+            pos = pos[sets[np.minimum(pos, len(sets) - 1)] == parents]
+            dead_children += np.bincount(pos, minlength=len(sets))
+        gone = sets[dead_children == outdeg[k]]
+        dead.append(gone)
+    return total, np.concatenate(dead)
+
+
 def has_ns(g: Graph, profile: IsoProfile | None = None, side: str = "induced") -> NsSearch:
     """Search for an order whose every prefix is an optimal set.
 
@@ -601,13 +646,17 @@ def enumerate_optimal_orders(g: Graph, cap: int = 10,
     """All optimal orders: exact total count plus the first ``cap`` of
     them in lexicographic order.
 
-    The count is a memoized walk over the DAG of optimal sets, so
-    highly symmetric graphs are fine as long as 2^n stays desk scale.
+    ``_layered_count`` counts them one layer of optimal k-sets at a time,
+    summing int64 path counts, which stay exact: a count at layer k is
+    at most k! <= 20! < 2^63 under ``ORDER_ENUM_CAP``.  Its dead sets
+    become 0 entries of the prefix DAG's memo, so listing the first
+    ``cap`` orders never enters a set without a completion.
     """
     if g.n > ORDER_ENUM_CAP:
         raise CapacityError(
             f"order enumeration on {g.n} vertices exceeds the {ORDER_ENUM_CAP}-vertex cap")
     prof = profile or iso_profile(g)
+    total, dead = _layered_count(g, prof.induced)
     dag = _PrefixDag(g.n, 0, _vertex_moves(g, prof.induced))
-    total = dag.count()
+    dag.memo.update(dict.fromkeys(dead.tolist(), 0))
     return [OptimalOrder(order) for order in dag.paths(cap)], total

@@ -213,6 +213,8 @@ def test_witnesses_match_single_witness_and_brute_force(case):
     assert [w.heights for w in got] == [brute[m] for m in sizes]
     assert got == [opt.witness(m) for m in sizes]
     assert all(w.box == (len(dh), len(dg)) for w in got)
+    # rows skip Diagram's validation; each must still pass it
+    assert all(Diagram(w.heights, w.box) == w for w in got)
 
 
 def test_witnesses_refuse_any_out_of_range_size_before_work():

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from conftest import brute_chains, brute_optimal_orders, brute_tables
 from edgeiso.compress import _enumerate_chains, enumerate_compressed_optimal_orders
 from edgeiso.delta import DeltaSequence
-from edgeiso.graphs import from_edge_list
-from edgeiso.solver import _PrefixDag, enumerate_optimal_orders, has_ns, iso_profile
+from edgeiso.graphs import from_edge_list, petersen
+from edgeiso.solver import (_layered_count, _PrefixDag, _vertex_moves, enumerate_optimal_orders,
+                            has_ns, iso_profile)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -34,6 +35,9 @@ NO_NS_GRAPHS = [
     (7, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)]),
     (7, [(0, 1), (0, 3), (1, 3), (2, 5), (2, 6), (3, 5), (3, 6), (4, 5), (4, 6)]),
 ]
+
+
+PETERSEN = (10, petersen().edges())
 
 
 @st.composite
@@ -61,6 +65,23 @@ def test_orders_match_permutation_filter(graph, cap):
     orders, total = enumerate_optimal_orders(g, cap=cap)
     assert total == len(expected)
     assert [o.order for o in orders] == expected[:cap]
+
+
+@PROPERTY
+@given(small_graphs(max_n=11))
+@example(NO_NS_GRAPHS[0])
+@example(NO_NS_GRAPHS[1])
+@example(PETERSEN)
+def test_layered_count_matches_depth_first_count(graph):
+    # the depth-first count over vertex masks is the oracle: its memo
+    # holds every reachable set, 0 for exactly the dead ones
+    n, edges = graph
+    g = from_edge_list(n, edges)
+    prof = iso_profile(g)
+    total, dead = _layered_count(g, prof.induced)
+    dag = _PrefixDag(n, 0, _vertex_moves(g, prof.induced))
+    assert total == dag.count()
+    assert sorted(dead.tolist()) == sorted(s for s, c in dag.memo.items() if c == 0)
 
 
 @PROPERTY

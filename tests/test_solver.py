@@ -12,11 +12,11 @@ import edgeiso.solver
 from conftest import brute_tables, brute_witnesses, random_graph
 from edgeiso.errors import CapacityError, InputError
 from edgeiso.graphs import (boundary_edges, cartesian_power, cartesian_product, complete,
-                            cycle, degrees, empty_graph, from_edge_list, is_regular, path,
-                            petersen, star)
-from edgeiso.solver import (MAX_THREADS, SCAN_CEILING, THREADS_ENV, WITNESS_SCAN_LIMIT,
-                            IsoProfile, enumerate_optimal_orders, has_ns, iso_profile,
-                            optimal_witnesses, thread_count, verify_order)
+                            cycle, degrees, empty_graph, from_edge_list, graph_z, is_regular,
+                            path, petersen, star)
+from edgeiso.solver import (MAX_THREADS, SCAN_CEILING, THREADS_ENV, IsoProfile,
+                            enumerate_optimal_orders, has_ns, iso_profile, thread_count,
+                            verify_order)
 
 PETERSEN_INDUCED = (0, 0, 1, 2, 3, 5, 6, 8, 10, 12, 15)
 PETERSEN_BOUNDARY = (0, 3, 4, 5, 6, 5, 6, 5, 4, 3, 0)
@@ -328,35 +328,6 @@ def test_profile_canary_recounts_witnesses():
 
 
 # ------------------------------------------------------------
-# Witness enumeration
-# ------------------------------------------------------------
-
-def test_optimal_witnesses_petersen(pet, pet_profile):
-    # I(4) = 3: the 60 four-vertex paths plus the 10 three-leaf stars
-    out = optimal_witnesses(pet, 4, profile=pet_profile)
-    assert out.total == 70
-    assert len(out.sets) == 70
-    assert out.sets[0].mask == pet_profile.induced_witness[4]
-    masks = [s.mask for s in out.sets]
-    assert masks == sorted(masks)
-
-
-def test_optimal_witnesses_cap_keeps_exact_total(pet, pet_profile):
-    out = optimal_witnesses(pet, 4, cap=5, profile=pet_profile)
-    assert out.total == 70 and len(out.sets) == 5
-
-
-def test_optimal_witnesses_limits(pet, monkeypatch):
-    with pytest.raises(InputError):
-        optimal_witnesses(pet, 11)
-    # C(28, 14) > WITNESS_SCAN_LIMIT: refused before the profile scan
-    forbid_scans(monkeypatch)
-    assert math.comb(28, 14) > WITNESS_SCAN_LIMIT
-    with pytest.raises(CapacityError):
-        optimal_witnesses(empty_graph(28), 14)
-
-
-# ------------------------------------------------------------
 # Nested solutions
 # ------------------------------------------------------------
 
@@ -447,6 +418,27 @@ def test_enumerate_orders_every_result_verifies():
         assert (total == 0) == (has_ns(g, prof).order is None)
         for o in orders[:10]:
             assert verify_order(g, o.order, prof).ok
+
+
+def test_enumerate_orders_totals_past_2_to_the_32():
+    # the layered count sums int64 path counts; both totals exceed 2^32
+    for g, expected in ((graph_z(2), 13_005_619_200),
+                        (cartesian_product(complete(4), complete(5)), 4_976_640_000)):
+        prof = iso_profile(g)
+        orders, total = enumerate_optimal_orders(g, cap=3, profile=prof)
+        assert total == expected
+        assert len(orders) == 3
+        assert all(verify_order(g, o.order, prof).ok for o in orders)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.environ.get("EDGEISO_SLOW"),
+                    reason="set EDGEISO_SLOW=1 to run the slow tier")
+def test_enumerate_orders_complete20_counts_20_factorial():
+    # the largest total ORDER_ENUM_CAP allows: every order of K20 is optimal
+    orders, total = enumerate_optimal_orders(complete(20), cap=2)
+    assert total == math.factorial(20) == 2_432_902_008_176_640_000
+    assert [o.order for o in orders] == [tuple(range(20)), tuple(range(18)) + (19, 18)]
 
 
 def test_enumerate_orders_capacity():

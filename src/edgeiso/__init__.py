@@ -1,9 +1,8 @@
 """Exact edge-isoperimetric toolkit for small graphs and their products."""
 
 from .compress import (CompressedChain, Diagram, DiagramOptimizer, colex_chain,
-                       compress_set, diagram_weight,
-                       enumerate_compressed_optimal_orders, lex_chain,
-                       power_lex_check, verify_lex_square)
+                       diagram_weight, enumerate_compressed_optimal_orders,
+                       lex_chain, power_lex_check, verify_lex_square)
 from .delta import (DeltaSequence, delta_of, gap_check, is_delta_dense,
                     is_symmetric, nested_solution_form, regularity_crosscheck,
                     segments_of)

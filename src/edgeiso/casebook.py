@@ -271,8 +271,7 @@ def _first_weight_mismatch(product, dh, dg, heights) -> int | None:
     nh, ng = len(dh), len(dg)
     member = compress_mod.staircase_members(heights, ng)
     direct, _ = graphs_mod._edge_counts_many(product, member)
-    columns = itertools.product(range(nh), range(ng + 1))
-    table = np.array(compress_mod._column_weights(dh, dg, columns)).reshape(nh, ng + 1)
+    table = compress_mod._column_weights(dh, dg)
     formula = table[np.arange(nh), heights].sum(axis=1)
     bad = np.flatnonzero(formula != direct)
     return int(bad[0]) if bad.size else None

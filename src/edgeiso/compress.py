@@ -14,13 +14,24 @@ For a compressed set the induced-edge count decomposes cell by cell,
 where dH, dG are the factor delta sequences, indexed from 0 like the
 cells.  A column of height h at x therefore weighs h * dH[x] + P_G[h],
 with P_G[h] = dG[0] + ... + dG[h-1]; ``_column_weights`` is the one
-place that evaluates it.  That turns "best compressed set of size m"
-into a small dynamic program over columns, and chains of diagrams
-growing one cell at a time stand in for optimal vertex orders of the
-product.  Compression of an arbitrary product set (replacing each row
-and column section by an initial segment until fixpoint) never loses
-induced edges, which is what makes the diagram optimum the true
-optimum.
+place that evaluates it, as an (n_h x n_g + 1) table.  That turns "best
+compressed set of size m" into a dynamic program over columns, one
+skewed numpy add and a running maximum over heights per column, on the
+sizes the remaining columns can hold.  Compression of an arbitrary
+product set (replacing each row and column section by an initial
+segment until fixpoint) never loses induced edges, which is what makes
+the diagram optimum the true optimum; ``tests/conftest.py`` keeps it as
+an oracle.
+
+Chains of diagrams growing one cell at a time stand in for optimal
+vertex orders of the product.  The chain walker keys a diagram by its
+boundary path: the n_h + n_g unit steps of the staircase's outline,
+walked from the box's top-left corner down and right to its
+bottom-right corner, packed into an int with the first step in bit 0,
+1 for a step right along a column's top and 0 for a step down.  Column
+x of height h_x is the 1 at bit n_g + x - h_x.  A cell that may be
+added sits in a corner, a step down followed by a step right, and
+adding it swaps those two bits.
 """
 
 from __future__ import annotations
@@ -34,8 +45,7 @@ import numpy as np
 
 from .delta import DeltaSequence, nested_solution_form
 from .errors import CapacityError, InputError
-from .graphs import (MAX_VERTICES, Graph, as_mask, bit_indices, cartesian_power,
-                     cartesian_product, induced_edges)
+from .graphs import MAX_VERTICES, Graph, cartesian_power
 from .solver import SCAN_CEILING, IsoProfile, _PrefixDag, iso_profile, verify_order
 
 _NEG = -(1 << 50)  # impossible-state sentinel for the DP tables
@@ -143,12 +153,12 @@ def staircase_members(heights, ng: int) -> np.ndarray:
     return (np.arange(ng) < heights[:, :, None]).reshape(k, nh * ng)
 
 
-def _column_weights(dh: DeltaSequence, dg: DeltaSequence, columns) -> list[int]:
-    """h * dH[x] + P_G[h] for each (x, h) in ``columns``: the weight of
-    column x at height h."""
-    prefix_g = list(itertools.accumulate(dg.values, initial=0))
-    gain_h = dh.values
-    return [h * gain_h[x] + prefix_g[h] for x, h in columns]
+def _column_weights(dh: DeltaSequence, dg: DeltaSequence) -> np.ndarray:
+    """The (n_h x n_g + 1) int64 table whose entry [x, h] is
+    h * dH[x] + P_G[h], the weight of column x at height h."""
+    prefix_g = np.cumsum((0,) + dg.values, dtype=np.int64)
+    gain_h = np.array(dh.values, dtype=np.int64)
+    return gain_h[:, None] * np.arange(len(dg) + 1) + prefix_g
 
 
 def diagram_weight(dh: DeltaSequence, dg: DeltaSequence, diagram: Diagram) -> int:
@@ -158,7 +168,7 @@ def diagram_weight(dh: DeltaSequence, dg: DeltaSequence, diagram: Diagram) -> in
     if diagram.box != (nh, ng):
         raise InputError(
             f"diagram box {diagram.box} does not match factors {nh}x{ng}")
-    return sum(_column_weights(dh, dg, enumerate(diagram.heights)))
+    return int(_column_weights(dh, dg)[np.arange(nh), diagram.heights].sum())
 
 
 def _column_tables(dh: DeltaSequence, dg: DeltaSequence):
@@ -166,21 +176,31 @@ def _column_tables(dh: DeltaSequence, dg: DeltaSequence):
     best total weight of columns x.. using u cells, every height at most
     c.  Each needs only the one before, so a caller may drop the rest.
 
-    Each table is stored with c on the row axis, so the loop writes and
-    reads whole contiguous rows; the yielded ``.T`` views index [u, c]."""
+    A table is stored with c on the row axis behind a left pad of n_g
+    ``_NEG`` columns; the yielded ``.T`` views skip the pad and index
+    [u, c].  Column x at height h adds colw[x, h] to after[h, u - h].
+    Read as rows one entry shorter, the flat buffer shifts row h left by
+    h, so one skewed add gives every (h, u) at once, with u < h landing
+    in the pad.  A running maximum over h, one contiguous row per h,
+    then turns "height h" into "height at most c".  Only sizes
+    u <= (n_h - x) * n_g fit in columns x..; the rest stay ``_NEG``.
+    """
     nh, ng = len(dh), len(dg)
-    total = nh * ng
-    after = np.full((ng + 1, total + 1), _NEG, dtype=np.int64)
-    after[:, 0] = 0
-    yield after.T
+    width = ng + nh * ng + 1  # the pad, then sizes 0..n_h * n_g
+    colw = _column_weights(dh, dg)
+    after = np.full((ng + 1, width), _NEG, dtype=np.int64)
+    after[:, ng] = 0
+    yield after[:, ng:].T
     for x in range(nh - 1, -1, -1):
-        colw = _column_weights(dh, dg, [(x, h) for h in range(ng + 1)])
-        cur = np.empty((ng + 1, total + 1), dtype=np.int64)
-        run = np.full(total + 1, _NEG, dtype=np.int64)
-        for h in range(ng + 1):
-            np.maximum(run[h:], after[h, : total + 1 - h] + colw[h], out=run[h:])
-            cur[h] = run
-        yield cur.T
+        feasible = (nh - x) * ng + 1
+        # skewed[h, u] is after's flat entry h * width + ng + u - h: after[h, u - h]
+        skewed = after.reshape(-1)[ng:ng + (ng + 1) * (width - 1)].reshape(ng + 1, width - 1)
+        cur = np.full((ng + 1, width), _NEG, dtype=np.int64)
+        best = cur[:, ng:ng + feasible]
+        np.add(skewed[:, :feasible], colw[x, :, None], out=best)
+        for h in range(1, ng + 1):
+            np.maximum(best[h - 1], best[h], out=best[h])
+        yield cur[:, ng:].T
         after = cur
 
 
@@ -193,7 +213,7 @@ def _optima(dh: DeltaSequence, dg: DeltaSequence) -> list[int]:
 
 class DiagramOptimizer:
     """All n_h + 1 column-DP tables of one factor pair, ``tables[x]`` for
-    columns x.., kept for witnesses; ``colw[x][h]`` is the weight of
+    columns x.., kept for witnesses; ``colw[x, h]`` is the weight of
     column x at height h.  ``_optima`` keeps two when no witness is read.
 
     ``witnesses`` rebuilds the witnesses of many sizes together, one
@@ -206,8 +226,7 @@ class DiagramOptimizer:
         self.dg = dg
         nh, ng = len(dh), len(dg)
         self.nh, self.ng = nh, ng
-        self.colw = [_column_weights(dh, dg, [(x, h) for h in range(ng + 1)])
-                     for x in range(nh)]
+        self.colw = _column_weights(dh, dg)
         self.tables = list(_column_tables(dh, dg))[::-1]
 
     def optimum(self, m: int) -> int:
@@ -254,73 +273,6 @@ class DiagramOptimizer:
         # each h <= cap, the height before it, and h <= ng: the rows are staircases
         box = (self.nh, self.ng)
         return [Diagram._unchecked(tuple(row), box) for row in heights.T.tolist()]
-
-
-# ============================================================
-# Compression of arbitrary product sets
-# ============================================================
-
-def compress_set(h_graph: Graph, g_graph: Graph, cells) -> Diagram:
-    """Push a product set into diagram form without losing edges.
-
-    ``cells`` is an iterable of (x, y) pairs, a bit mask, or a
-    VertexSet over the product labeling x * n_g + y.  Both factor
-    graphs must be labeled by nested-solution orders for the guarantee
-    to hold; the result is checked against the input count and a
-    violation raises.
-    """
-    nh, ng = h_graph.n, g_graph.n
-    product = cartesian_product(h_graph, g_graph)
-    if isinstance(cells, (int,)) or hasattr(cells, "mask"):
-        mask = as_mask(product, cells)
-        pairs = {divmod(v, ng) for v in bit_indices(mask)}
-    else:
-        pairs = set()
-        for x, y in cells:
-            if not (0 <= x < nh and 0 <= y < ng):
-                raise InputError(f"cell ({x},{y}) outside the {nh}x{ng} box")
-            pairs.add((x, y))
-    before = induced_edges(product, _pairs_mask(pairs, ng))
-
-    rounds = 0
-    bound = nh * ng * max(nh, ng) + 1
-    while True:
-        # columns: each x-section becomes an initial segment of G
-        new_pairs = set()
-        for x in range(nh):
-            count = sum(1 for (px, _) in pairs if px == x)
-            new_pairs.update((x, y) for y in range(count))
-        changed = new_pairs != pairs
-        pairs = new_pairs
-        # rows: each y-section becomes an initial segment of H
-        new_pairs = set()
-        for y in range(ng):
-            count = sum(1 for (_, py) in pairs if py == y)
-            new_pairs.update((x, y) for x in range(count))
-        changed = changed or new_pairs != pairs
-        pairs = new_pairs
-        rounds += 1
-        if not changed:
-            break
-        if rounds > bound:  # pragma: no cover - the potential argument forbids this
-            raise RuntimeError("compression failed to reach a fixpoint")
-
-    heights = [0] * nh
-    for x, _ in pairs:
-        heights[x] += 1
-    diagram = Diagram(heights, (nh, ng))
-    after = induced_edges(product, diagram.product_mask())
-    if diagram.size != len(pairs) or after < before:
-        raise RuntimeError(
-            "compression lost edges; factor labels are not nested-solution orders")
-    return diagram
-
-
-def _pairs_mask(pairs, ng: int) -> int:
-    mask = 0
-    for x, y in pairs:
-        mask |= 1 << (x * ng + y)
-    return mask
 
 
 # ============================================================
@@ -404,14 +356,21 @@ def _enumerate_chains(dh: DeltaSequence, dg: DeltaSequence, cap: int,
     steps = [optima[k + 1] - optima[k] for k in range(nh * ng)]
     gain_h, gain_g = dh.values, dg.values  # cell (x, y) weighs gain_h[x] + gain_g[y]
 
-    def moves(heights: tuple[int, ...], size: int):
+    def moves(path: int, size: int):
+        # a corner (bit i a step down, bit i + 1 a step right) is a cell that
+        # may be added; lower bits belong to lower columns, so x ascends
         want = steps[size]
-        for x in range(nh):
-            h = heights[x]
-            if h < ng and (x == 0 or heights[x - 1] > h) and gain_h[x] + gain_g[h] == want:
-                yield (x, h), heights[:x] + (h + 1,) + heights[x + 1:]
+        corners = (path >> 1) & ~path
+        while corners:
+            low = corners & -corners
+            x = (path & (low - 1)).bit_count()
+            h = ng - low.bit_length() + x
+            if gain_h[x] + gain_g[h] == want:
+                yield (x, h), path ^ (low * 3)
+            corners ^= low
 
-    dag = _PrefixDag(nh * ng, (0,) * nh, moves)
+    # the empty diagram's boundary: n_g row steps below n_h column steps
+    dag = _PrefixDag(nh * ng, ((1 << nh) - 1) << ng, moves)
     limit = max(count_limit, 1)  # the first full chain is always counted
     total = dag.count(limit)
     chains = tuple(CompressedChain(cells, (nh, ng)) for cells in dag.paths(min(cap, limit)))

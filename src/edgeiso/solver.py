@@ -420,8 +420,9 @@ class _PrefixDag:
     chain surveys call ``count``: vertex orders are counted by
     ``_layered_count``, which hands its dead sets to ``memo``.
 
-    A state is the minimal key of a prefix (a vertex mask, a diagram's
-    heights); its value is the optimum at its size, so nothing else is
+    A state is the minimal key of a prefix, an int: a vertex mask, or a
+    diagram's boundary path, whose bit n_g + x - h_x marks column x of
+    height h_x; its value is the optimum at its size, so nothing else is
     carried.  ``moves(state, size)`` yields ``(label, child)`` in
     ascending label order for exactly the children that hit the optimum
     at ``size + 1``.  ``memo`` maps a state to its completion count,

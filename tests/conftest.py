@@ -3,17 +3,23 @@
 The brute-force helpers here deliberately avoid the package's bit-mask
 machinery: they count edges straight off (u, v) lists with Python sets,
 so agreement with the solvers is a genuine cross-check rather than the
-same code called twice.
+same code called twice.  It also keeps reference versions of
+production code: the column DP one height at a time, the chain walker
+over column heights, and the compression of arbitrary product sets.
 """
 
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from edgeiso.graphs import Graph, from_edge_list, graph_union, graph_z
+from edgeiso.compress import _NEG, Diagram
+from edgeiso.errors import InputError
+from edgeiso.graphs import (Graph, as_mask, bit_indices, cartesian_product, from_edge_list,
+                            graph_union, graph_z, induced_edges)
 from edgeiso.graphs import complete, cycle, petersen
-from edgeiso.solver import iso_profile
+from edgeiso.solver import _PrefixDag, iso_profile
 
 
 def brute_induced(edges, subset) -> int:
@@ -128,6 +134,120 @@ def brute_chains(dh, dg):
         if all(w == best[k] for k, w in enumerate(weights, start=1)):
             chains.append(cells)
     return sorted(chains)
+
+
+def column_tables_by_row(dh, dg):
+    """The column DP one height at a time: ``tables[x][u, c]`` is the best
+    weight of columns x.. using u cells, every height at most c.
+
+    Each height h of column x adds its weight to the whole row of the
+    table after it, shifted right by h, and a running row keeps the best
+    over heights so far.  No size below h is read, so this needs no pad.
+    """
+    nh, ng = len(dh), len(dg)
+    total = nh * ng
+    after = np.full((ng + 1, total + 1), _NEG, dtype=np.int64)
+    after[:, 0] = 0
+    tables = [after.T]
+    for x in range(nh - 1, -1, -1):
+        colw = [h * dh[x] + sum(dg[:h]) for h in range(ng + 1)]
+        cur = np.empty((ng + 1, total + 1), dtype=np.int64)
+        run = np.full(total + 1, _NEG, dtype=np.int64)
+        for h in range(ng + 1):
+            np.maximum(run[h:], after[h, : total + 1 - h] + colw[h], out=run[h:])
+            cur[h] = run
+        tables.append(cur.T)
+        after = cur
+    return tables[::-1]
+
+
+def height_chain_survey(dh, dg, cap, count_limit):
+    """(total, exact, chains, classifications) of the optimal chains of
+    the len(dh) x len(dg) box, walked with a diagram's column heights as
+    its state; the optimum per size comes from ``column_tables_by_row``."""
+    nh, ng = len(dh), len(dg)
+    optima = column_tables_by_row(dh, dg)[0][:, ng].tolist()
+    steps = [optima[k + 1] - optima[k] for k in range(nh * ng)]
+
+    def moves(heights, size):
+        want = steps[size]
+        for x in range(nh):
+            h = heights[x]
+            if h < ng and (x == 0 or heights[x - 1] > h) and dh[x] + dg[h] == want:
+                yield (x, h), heights[:x] + (h + 1,) + heights[x + 1:]
+
+    dag = _PrefixDag(nh * ng, (0,) * nh, moves)
+    limit = max(count_limit, 1)
+    total = dag.count(limit)
+    chains = dag.paths(min(cap, limit))
+    lex = tuple((x, y) for x in range(nh) for y in range(ng))
+    colex = tuple((x, y) for y in range(ng) for x in range(nh))
+    kinds = tuple("lex" if c == lex else "colex" if c == colex else "other" for c in chains)
+    return total, total < limit, chains, kinds
+
+
+def compress_set(h_graph: Graph, g_graph: Graph, cells) -> Diagram:
+    """Push a product set into diagram form without losing edges: the
+    compression lemma, run until fixpoint.
+
+    ``cells`` is an iterable of (x, y) pairs, a bit mask, or a
+    VertexSet over the product labeling x * n_g + y.  Both factor
+    graphs must be labeled by nested-solution orders for the guarantee
+    to hold; the result is checked against the input count and a
+    violation raises.
+    """
+    nh, ng = h_graph.n, g_graph.n
+    product = cartesian_product(h_graph, g_graph)
+    if isinstance(cells, (int,)) or hasattr(cells, "mask"):
+        mask = as_mask(product, cells)
+        pairs = {divmod(v, ng) for v in bit_indices(mask)}
+    else:
+        pairs = set()
+        for x, y in cells:
+            if not (0 <= x < nh and 0 <= y < ng):
+                raise InputError(f"cell ({x},{y}) outside the {nh}x{ng} box")
+            pairs.add((x, y))
+    before = induced_edges(product, _pairs_mask(pairs, ng))
+
+    rounds = 0
+    bound = nh * ng * max(nh, ng) + 1
+    while True:
+        # columns: each x-section becomes an initial segment of G
+        new_pairs = set()
+        for x in range(nh):
+            count = sum(1 for (px, _) in pairs if px == x)
+            new_pairs.update((x, y) for y in range(count))
+        changed = new_pairs != pairs
+        pairs = new_pairs
+        # rows: each y-section becomes an initial segment of H
+        new_pairs = set()
+        for y in range(ng):
+            count = sum(1 for (_, py) in pairs if py == y)
+            new_pairs.update((x, y) for x in range(count))
+        changed = changed or new_pairs != pairs
+        pairs = new_pairs
+        rounds += 1
+        if not changed:
+            break
+        if rounds > bound:  # pragma: no cover - the potential argument forbids this
+            raise RuntimeError("compression failed to reach a fixpoint")
+
+    heights = [0] * nh
+    for x, _ in pairs:
+        heights[x] += 1
+    diagram = Diagram(heights, (nh, ng))
+    after = induced_edges(product, diagram.product_mask())
+    if diagram.size != len(pairs) or after < before:
+        raise RuntimeError(
+            "compression lost edges; factor labels are not nested-solution orders")
+    return diagram
+
+
+def _pairs_mask(pairs, ng: int) -> int:
+    mask = 0
+    for x, y in pairs:
+        mask |= 1 << (x * ng + y)
+    return mask
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:

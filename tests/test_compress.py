@@ -4,12 +4,13 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import column_tables_by_row, compress_set
 import edgeiso.compress
-from edgeiso.compress import (CompressedChain, Diagram, DiagramOptimizer,
-                              colex_chain, compress_set, diagram_weight,
+from edgeiso.compress import (_NEG, CompressedChain, Diagram, DiagramOptimizer,
+                              _column_tables, colex_chain, diagram_weight,
                               enumerate_compressed_optimal_orders, lex_chain,
                               power_lex_check, staircase_members, verify_lex_square)
 from edgeiso.delta import DeltaSequence, delta_of, nested_solution_form
@@ -160,6 +161,41 @@ def test_optimizer_matches_exhaustive_diagram_scan():
             assert diagram_weight(dh, dg, witness) == best[m]
             # the DP returns the lexicographically least optimal heights
             assert witness.heights == min(arg[m])
+
+
+@st.composite
+def dp_boxes(draw):
+    """Factor deltas of any small box or of a long thin one, as in the
+    compressed powers; entries may be negative."""
+    nh, ng = draw(st.one_of(st.tuples(st.integers(1, 8), st.integers(1, 8)),
+                            st.tuples(st.integers(1, 64), st.integers(1, 3))))
+    values = st.integers(-3, 6)
+    return (draw(st.lists(values, min_size=nh, max_size=nh)),
+            draw(st.lists(values, min_size=ng, max_size=ng)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(dp_boxes())
+@example(([2], [5]))
+@example(([0, 1, 2], [1]))
+@example(([1], [0, 1, 2, 3]))
+@example(([3, 1, 0, 2], [0, 2]))
+@example((list(range(64)), [0, 1, 1]))
+def test_column_tables_match_row_by_row_oracle(deltas):
+    # sizes that fit in columns x.. under cap c agree with the oracle; a
+    # size past every column's full height was never written
+    dh, dg = deltas
+    nh, ng = len(dh), len(dg)
+    got = list(_column_tables(DeltaSequence(dh), DeltaSequence(dg)))[::-1]
+    oracle = column_tables_by_row(dh, dg)
+    assert len(got) == nh + 1
+    for x, (table, expected) in enumerate(zip(got, oracle)):
+        assert table.shape == (nh * ng + 1, ng + 1)
+        for c in range(ng + 1):
+            fits = (nh - x) * c + 1
+            assert table[:fits, c].tolist() == expected[:fits, c].tolist(), (x, c)
+            assert (table[fits:, c] < _NEG // 2).all(), (x, c)
+        assert (table[(nh - x) * ng + 1:] == _NEG).all(), x
 
 
 def test_optimizer_equals_product_profile_k3():

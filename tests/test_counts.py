@@ -5,7 +5,8 @@ edge-count kernel in ``graphs`` counts both sides at once, and its
 batched form counts many sets in one pass.  For a
 staircase in H x G with both factors in nested-solution order, the
 induced edges are the cell sum of dH[x] + dG[y]: ``compress`` turns that
-into column weights, the diagram DP and compression.  Each property is
+into column weights and the diagram DP, and the compression oracle in
+``conftest`` pushes any set into staircase form.  Each property is
 checked against the set-based oracles in ``conftest`` or the exhaustive
 scan, on random factors relabeled by ``nested_solution_form``.
 """
@@ -16,8 +17,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_boundary, brute_induced
-from edgeiso.compress import Diagram, DiagramOptimizer, compress_set, diagram_weight
+from conftest import brute_boundary, brute_induced, compress_set
+from edgeiso.compress import Diagram, DiagramOptimizer, diagram_weight
 from edgeiso.delta import nested_solution_form
 from edgeiso.graphs import (_BATCH_ROWS, _edge_counts, _edge_counts_many, boundary_edges,
                             cartesian_product, from_edge_list, induced_edges, petersen)

@@ -5,16 +5,17 @@ walk one memoized DAG of optimal prefixes.  These property tests pit
 each caller against an oracle from conftest that filters every
 permutation or every staircase cell sequence, so a wrong memo entry,
 a bad dead-state mark or an off-by-one in the count limit shows up as
-a disagreement.
+a disagreement.  The chain walker's boundary-path states are also
+checked against a walker over column heights.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_chains, brute_optimal_orders, brute_tables
+from conftest import brute_chains, brute_optimal_orders, brute_tables, height_chain_survey
 from edgeiso.compress import _enumerate_chains, enumerate_compressed_optimal_orders
-from edgeiso.delta import DeltaSequence
-from edgeiso.graphs import from_edge_list, petersen
+from edgeiso.delta import DeltaSequence, nested_solution_form
+from edgeiso.graphs import from_edge_list, path, petersen
 from edgeiso.solver import (_layered_count, _PrefixDag, _vertex_moves, enumerate_optimal_orders,
                             has_ns, iso_profile)
 
@@ -113,6 +114,46 @@ def test_chains_match_staircase_filter(dh, dg, cap, count_limit):
     assert clipped.total == min(len(expected), limit)
     assert clipped.exact == (len(expected) < limit)
     assert [c.cells for c in clipped.chains] == expected[:min(cap, limit)]
+
+
+@st.composite
+def chain_boxes(draw):
+    """Unsorted factor deltas of a box up to 6 x 6, square or not."""
+    nh, ng = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    values = st.integers(0, 3)
+    return (draw(st.lists(values, min_size=nh, max_size=nh)),
+            draw(st.lists(values, min_size=ng, max_size=ng)))
+
+
+def assert_matches_height_walker(dh, dg, cap, count_limit):
+    survey = _enumerate_chains(DeltaSequence(dh), DeltaSequence(dg), cap=cap,
+                               count_limit=count_limit)
+    total, exact, chains, kinds = height_chain_survey(dh, dg, cap, count_limit)
+    assert (survey.total, survey.exact) == (total, exact)
+    assert [c.cells for c in survey.chains] == chains
+    assert survey.classifications == kinds
+    return survey
+
+
+@PROPERTY
+@given(chain_boxes(), st.integers(0, 12), st.integers(0, 3000))
+@example(([0, 1, 2], [0, 1, 2, 3, 4]), 10, 10_000)
+@example(([2, 1, 1, 3], [0]), 3, 0)
+@example(([0], [0, 0, 0, 0, 0, 0]), 12, 1)
+@example(([0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]), 12, 3000)
+def test_boundary_path_walker_matches_height_walker(deltas, cap, count_limit):
+    # the boundary-path states against the column-height states they encode
+    assert_matches_height_walker(*deltas, cap, count_limit)
+
+
+def test_chain_surveys_pinned_on_path12_and_petersen():
+    _, d = nested_solution_form(path(12))
+    survey = assert_matches_height_walker(d.values, d.values, 10, 10_000)
+    assert survey.total == 2048 and survey.exact
+    # Petersen squared has more optimal chains than the count limit
+    _, d = nested_solution_form(petersen())
+    survey = assert_matches_height_walker(d.values, d.values, 10, 10_000)
+    assert survey.total == 10_000 and not survey.exact
 
 
 def test_chainless_square_finishes():

@@ -141,9 +141,8 @@ def _check_regular_identity() -> tuple[bool, dict]:
             return False, {"error": f"{g.display_name()} is not regular"}
         masks = [rng.getrandbits(g.n) for _ in range(1000)]
         member = (np.array(masks)[:, None] >> np.arange(g.n) & 1).astype(bool)
-        induced, _ = graphs_mod._edge_counts_many(g, member)
-        # the boundary is counted edge by edge, apart from the kernel, whose
-        # two counts make up the degree sum by construction
+        induced = graphs_mod._edge_counts_many(g, member)
+        # the boundary is counted edge by edge, apart from the induced kernel
         lhs = _crossing_counts(g, member) + 2 * induced
         bad = np.flatnonzero(lhs != r * member.sum(axis=1))
         if bad.size:
@@ -270,7 +269,7 @@ def _first_weight_mismatch(product, dh, dg, heights) -> int | None:
     or None if every row agrees."""
     nh, ng = len(dh), len(dg)
     member = compress_mod.staircase_members(heights, ng)
-    direct, _ = graphs_mod._edge_counts_many(product, member)
+    direct = graphs_mod._edge_counts_many(product, member)
     table = compress_mod._column_weights(dh, dg)
     formula = table[np.arange(nh), heights].sum(axis=1)
     bad = np.flatnonzero(formula != direct)

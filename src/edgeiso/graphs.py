@@ -186,26 +186,21 @@ def _edge_counts(adj, mask: int) -> tuple[int, int]:
     return inner2 // 2, degsum - inner2
 
 
-def _edge_counts_many(g: Graph, member) -> tuple[np.ndarray, np.ndarray]:
-    """(induced, boundary) edges of many sets at once.
+def _edge_counts_many(g: Graph, member) -> np.ndarray:
+    """Induced edges of many sets at once.
 
     ``member`` is a (sets x n) boolean matrix whose row i marks set i.
-    Like ``_edge_counts``, the boundary is the degree sum less twice the
-    induced count.  Rows are counted ``_BATCH_ROWS`` at a time.
+    Rows are counted ``_BATCH_ROWS`` at a time.
     """
     ends = np.array(g.edges(), dtype=np.intp).reshape(-1, 2)
     u, v = ends[:, 0], ends[:, 1]
-    deg = np.array(degrees(g), dtype=np.int64)
     induced = np.empty(len(member), dtype=np.int64)
-    degsum = np.empty(len(member), dtype=np.int64)
     for start in range(0, len(member), _BATCH_ROWS):
         rows = member[start:start + _BATCH_ROWS]
-        stop = start + len(rows)
         both = rows[:, u]
         both &= rows[:, v]
-        induced[start:stop] = np.count_nonzero(both, axis=1)
-        degsum[start:stop] = np.where(rows, deg, 0).sum(axis=1)
-    return induced, degsum - 2 * induced
+        induced[start:start + len(rows)] = np.count_nonzero(both, axis=1)
+    return induced
 
 
 def induced_edges(g: Graph, a) -> int:

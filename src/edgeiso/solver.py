@@ -34,7 +34,12 @@ r*|A| edge ends at A's vertices are one end of each boundary edge and
 both ends of each inner edge.  So per size the boundary-optimal
 sets are exactly the induced-optimal ones, with the same least mask, and
 ``iso_profile`` scans regular graphs for the induced table alone and
-derives the boundary table from it.
+derives the boundary table from it.  Every edge lies inside A, inside
+V - A or across, so e(V - A) = E - e(A) - Theta(A) = E - r*|A| + e(A).
+The block scan of a regular graph therefore walks only the blocks
+without the top high vertex: each block's best set of size s gives its
+complement block's best of size n - s, and the complement of its
+greatest maximizer is the least witness there.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .errors import CapacityError, InputError
 from .graphs import Graph, VertexSet, _edge_counts, bit_indices, is_regular
 
 # The one profile-scan limit; no call or flag moves it.  A 2^32 scan takes
-# 0.6 s on a regular graph and 1.2 s on an irregular one (two cores); each
+# 0.4 s on a regular graph and 1.2 s on an irregular one (two cores); each
 # vertex more doubles that.  Order enumeration stops lower.
 SCAN_CEILING = 32
 ORDER_ENUM_CAP = 20
@@ -62,22 +67,25 @@ THREADS_ENV = "EDGEISO_THREADS"
 MAX_THREADS = 256
 
 # At most 2^18 low subsets per vectorized block.  Each block step reads
-# and writes three int16 tables of 2^k entries (ind, bnd and one row;
-# a regular graph keeps no bnd): 1.5 MB at k = 18, which fits a 2 MB
-# per-core L2; at k = 20 they take 6 MB and every block step misses
-# that cache.
+# and writes three int16 tables of 2^k entries (ind, bnd and one row):
+# 1.5 MB at k = 18, which fits a 2 MB per-core L2; at k = 20 they take
+# 6 MB and every block step misses that cache.  A regular graph keeps no
+# bnd, so its steps touch two tables, and each of its steps also settles
+# the complement block, so it takes half as many.
 _BLOCK_LOW_BITS = 18
 _GRAY_MAX_N = 9  # auto scans up to here with gray, above with blocks
 
 
 def thread_count() -> int:
     """Worker threads for block scans: EDGEISO_THREADS if set, else the
-    CPUs this process may run on."""
+    CPUs this process may run on, at most ``MAX_THREADS``."""
     raw = os.environ.get(THREADS_ENV)
     if raw is None:
         if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        return min(cpus, MAX_THREADS)
     try:
         value = int(raw)
     except ValueError:
@@ -211,8 +219,11 @@ def iso_profile(g: Graph, strategy: str = "auto",
     Theta(A) = r*|A| - 2*e(A), since the r*|A| edge ends at A's vertices
     are one end of each boundary edge and both ends of each inner edge.
     So Theta(m) = r*m - 2*I(m), and the least induced witness is the
-    least boundary witness.  ``IsoProfile`` recounts
-    every boundary witness, so the derived table still certifies itself.
+    least boundary witness.  The block scan of a regular graph also walks
+    half the blocks: by e(V - A) = E - r*|A| + e(A), each walked block
+    answers for its complement block, witness included.  ``IsoProfile``
+    recounts every witness, derived and mirrored ones too, so the tables
+    still certify themselves.
     """
     if g.n > SCAN_CEILING:
         raise CapacityError(
@@ -223,7 +234,7 @@ def iso_profile(g: Graph, strategy: str = "auto",
     if strategy == "gray":
         tables = _scan_gray(g, boundary=not regular)
     elif strategy == "blocks":
-        tables = _scan_blocks(g, low_bits=low_bits, boundary=not regular)
+        tables = _scan_blocks(g, low_bits=low_bits, degree=r)
     else:
         raise InputError(f"unknown scan strategy {strategy!r}")
     induced, boundary, induced_witness, boundary_witness = tables
@@ -294,18 +305,26 @@ def _weighted_subset_sums(weights) -> np.ndarray:
     return out
 
 
-def _scan_blocks(g: Graph, low_bits: int | None = None, boundary: bool = True):
-    """(induced, boundary, induced witnesses, boundary witnesses); with
-    ``boundary`` off no boundary table is kept and that pair is None."""
+def _scan_blocks(g: Graph, low_bits: int | None = None, degree: int | None = None):
+    """(induced, boundary, induced witnesses, boundary witnesses).
+
+    ``degree`` is r when g is r-regular: then no boundary table is kept,
+    that pair is None, and only the blocks without the top high vertex
+    are walked, each one also answering for its complement block.
+    """
     n, adj = g.n, g.adj
     deg = [row.bit_count() for row in adj]
     k = min(n, _BLOCK_LOW_BITS if low_bits is None else low_bits)
     if k < 1:
         raise InputError("block scan needs at least one low bit")
     hi = n - k
+    boundary = degree is None
+    mirror = not boundary and hi > 0
+    walked = hi - 1 if mirror else hi  # high vertices the Gray walk flips
 
     # Low masks sorted by (popcount, value); within a popcount class the
-    # masks stay ascending, so a segment's first argmax is its least mask.
+    # masks stay ascending, so a segment's first argmax is its least mask
+    # and its last argmax its greatest.
     pc = _weighted_subset_sums([1] * k)
     order = np.argsort(pc, kind="stable")
     starts = list(itertools.accumulate((math.comb(k, c) for c in range(k)), initial=0))
@@ -326,11 +345,20 @@ def _scan_blocks(g: Graph, low_bits: int | None = None, boundary: bool = True):
     bnd0 = _weighted_subset_sums(deg[:k])[order] - ind0 if boundary else None
     # rows[j][x]: twice the edges from high vertex k + j into low set x.
     rows = [_weighted_subset_sums([2 * (adj[v] >> u & 1) for u in range(k)])[order]
-            for v in range(k, n)]
+            for v in range(k, k + walked)]
+
+    # With ``mirror``, walked block H also settles its complement block:
+    # that block's best at size n - s is E - r*s plus H's best at s, and
+    # as complementing reverses the mask order, its least witness is the
+    # complement of H's greatest maximizer.
+    edge_total = g.edge_count()
+    low_all = (1 << k) - 1
+    high_all = ((1 << hi) - 1) << k
 
     def scan_range(first: int, stop: int):
         """Best (-induced, mask) and (boundary, mask) keys per size over
-        the blocks with Gray indices first..stop-1."""
+        the blocks with Gray indices first..stop-1 (and, with ``mirror``,
+        their complement blocks)."""
         # Sentinels lose to every real key: -induced <= 0, boundary < n*n.
         best_i = [(1, 0)] * (n + 1)
         best_t = [(n * n + 1, 0)] * (n + 1)
@@ -366,13 +394,21 @@ def _scan_blocks(g: Graph, low_bits: int | None = None, boundary: bool = True):
                     ih -= gained
                     dh -= deg[v]
             pch = high.bit_count()
+            twin_full = full ^ high_all
             # a tie beats the kept witness only from a lower block
             for c, top in enumerate(np.maximum.reduceat(ind, starts_arr).tolist()):
+                s = pch + c
                 key = (-(top // 2 + ih), full)
-                if key < best_i[pch + c]:
+                if key < best_i[s]:
                     lo = starts[c]
                     p = int(np.argmax(ind[lo:bounds[c]]))
-                    best_i[pch + c] = (key[0], full | int(order[lo + p]))
+                    best_i[s] = (key[0], full | int(order[lo + p]))
+                if mirror:
+                    twin = (key[0] + degree * s - edge_total, twin_full)
+                    if twin < best_i[n - s]:
+                        lo = starts[c]
+                        p = bounds[c] - 1 - int(np.argmax(ind[lo:bounds[c]][::-1]))
+                        best_i[n - s] = (twin[0], twin_full | (low_all ^ int(order[p])))
             if not boundary:
                 continue
             for c, low in enumerate(np.minimum.reduceat(bnd, starts_arr).tolist()):
@@ -383,7 +419,7 @@ def _scan_blocks(g: Graph, low_bits: int | None = None, boundary: bool = True):
                     best_t[pch + c] = (key[0], full | int(order[lo + p]))
         return best_i, best_t
 
-    blocks = 1 << hi
+    blocks = 1 << walked
     workers = min(thread_count(), blocks)
     cuts = [w * blocks // workers for w in range(workers + 1)]
     if workers > 1:

@@ -136,13 +136,11 @@ def test_brute_force_claims_check_every_subset_and_diagram():
 
 
 def test_regular_identity_detects_a_consistent_miscount(monkeypatch):
-    # induced +1 and boundary -2 on every non-empty set keeps the degree sum
+    # induced +1 on every non-empty set, the same on every graph
     real = edgeiso.graphs._edge_counts_many
 
     def miscount(g, member):
-        induced, boundary = real(g, member)
-        nonempty = member.any(axis=1)
-        return induced + nonempty, boundary - 2 * nonempty
+        return real(g, member) + member.any(axis=1)
 
     monkeypatch.setattr(edgeiso.graphs, "_edge_counts_many", miscount)
     result = run_casebook(["regular-identity"])[0]
@@ -187,10 +185,10 @@ def test_diagram_weight_detects_a_direct_miscount(monkeypatch, faulty_n):
     real = edgeiso.graphs._edge_counts_many
 
     def miscount(g, member):
-        induced, boundary = real(g, member)
+        induced = real(g, member)
         if faulty_n is None:
-            return induced + member.all(axis=1), boundary
-        return (induced + 1, boundary) if g.n == faulty_n else (induced, boundary)
+            return induced + member.all(axis=1)
+        return induced + 1 if g.n == faulty_n else induced
 
     monkeypatch.setattr(edgeiso.graphs, "_edge_counts_many", miscount)
     result = run_casebook(["diagram-weight-formula"])[0]

@@ -12,8 +12,8 @@ import edgeiso.solver
 from conftest import brute_tables, brute_witnesses, random_graph
 from edgeiso.errors import CapacityError, InputError
 from edgeiso.graphs import (boundary_edges, cartesian_power, cartesian_product, complete,
-                            cycle, degrees, empty_graph, from_edge_list, graph_z, is_regular,
-                            path, petersen, star)
+                            cycle, degrees, empty_graph, from_edge_list, graph_union, graph_z,
+                            is_regular, path, petersen, relabel, star)
 from edgeiso.solver import (MAX_THREADS, SCAN_CEILING, THREADS_ENV, IsoProfile,
                             enumerate_optimal_orders, has_ns, iso_profile, thread_count,
                             verify_order)
@@ -188,8 +188,13 @@ def test_thread_count_default_follows_affinity(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
     assert thread_count() == 3
+    # a host past MAX_THREADS CPUs gets the documented bound; no scan runs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)))
+    assert thread_count() == MAX_THREADS
     monkeypatch.delattr(os, "sched_getaffinity")
     assert thread_count() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: 1000)
+    assert thread_count() == MAX_THREADS
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert thread_count() == 1
 
@@ -253,15 +258,92 @@ def test_regular_graphs_match_brute_oracles(g, data):
 
 
 def test_production_width_regular_equals_two_table_scan(monkeypatch):
-    # 20 vertices, 4-regular: four full-width blocks.  The two-table scan
-    # is the irregular path, so it is the oracle for the derived rows.
+    # 20 and 24 vertices: 4 and 64 full-width blocks, of which the regular
+    # scan walks 2 and 32.  The two-table scan is the irregular path, so
+    # it is the oracle for the derived rows and the mirrored blocks.
     import edgeiso.solver as solver
-    g = cartesian_product(petersen(), complete(2))
-    assert is_regular(g) == (True, 4)
-    for workers in ("1", "3"):
-        monkeypatch.setenv(THREADS_ENV, workers)
-        full = solver._scan_blocks(g, boundary=True)
-        assert profile_tuple(iso_profile(g)) == tuple(tuple(t) for t in full), workers
+    for g, r in ((cartesian_product(petersen(), complete(2)), 4),
+                 (cartesian_product(complete(4), cycle(6)), 5)):
+        assert is_regular(g) == (True, r)
+        for workers in ("1", "3"):
+            monkeypatch.setenv(THREADS_ENV, workers)
+            full = solver._scan_blocks(g)
+            assert profile_tuple(iso_profile(g)) == tuple(tuple(t) for t in full), workers
+
+
+@st.composite
+def mirrored_regular_graphs(draw):
+    """Regular graphs on 2..12 vertices, randomly relabeled, with the edge
+    cases of the mirrored block walk: disconnected unions, no edges
+    (r = 0), and complete graphs, where every set of a size ties."""
+    kind = draw(st.sampled_from(["regular", "union", "empty", "complete"]))
+    if kind == "regular":
+        g = draw(regular_graphs())
+        g = g if g.n > 1 else complete(2)
+    elif kind == "union":
+        # Unrelabeled, every optimal 5-set of the cube + K4 union holds the
+        # K4, the top four vertices, and one of 8 tied cube vertices: the
+        # least witness lies in a complement block, among rivals.
+        g = draw(st.sampled_from([graph_union(cycle(4), cycle(5)),
+                                  graph_union(cartesian_power(complete(2), 3), complete(4)),
+                                  graph_union(complete(2), graph_union(complete(2), complete(2))),
+                                  graph_union(cycle(3), graph_union(cycle(4), cycle(5)))]))
+    else:
+        n = draw(st.integers(2, 12))
+        g = empty_graph(n) if kind == "empty" else complete(n)
+    return relabel(g, draw(st.permutations(range(g.n))))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(mirrored_regular_graphs(), st.data())
+def test_mirrored_block_walk_matches_brute_oracles(g, data):
+    # low_bits < n leaves at least one high vertex, so at least two blocks
+    # and every walked block answers for a complement block.
+    assert is_regular(g)[0]
+    low_bits = data.draw(st.integers(1, g.n - 1))
+    threads = data.draw(st.integers(1, 4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(THREADS_ENV, str(threads))
+        prof = iso_profile(g, strategy="blocks", low_bits=low_bits)
+    edges = g.edges()
+    assert (list(prof.induced), list(prof.boundary)) == brute_tables(g.n, edges)
+    assert (list(prof.induced_witness),
+            list(prof.boundary_witness)) == brute_witnesses(g.n, edges)
+
+
+@pytest.mark.parametrize("g, high, steps", [
+    (complete(10), 4, 8),
+    (cartesian_product(cycle(4), cycle(3)), 6, 32),
+    (empty_graph(8), 2, 2),
+    (star(10), 4, 16),
+], ids=["complete(10)", "cycle(4) x cycle(3)", "empty(8)", "irregular star(10)"])
+def test_regular_block_scan_walks_half_the_blocks(g, high, steps, monkeypatch):
+    # One worker per block, so the workers' ranges are the Gray indices
+    # walked: a regular scan with h high vertices takes 2^(h-1) block
+    # steps, an irregular one 2^h.
+    import edgeiso.solver as solver
+    ranges = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, firsts, stops):
+            walked = list(zip(firsts, stops))
+            ranges.extend(walked)
+            return [fn(first, stop) for first, stop in walked]
+
+    monkeypatch.setattr(solver, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setenv(THREADS_ENV, str(MAX_THREADS))
+    prof = iso_profile(g, strategy="blocks", low_bits=g.n - high)
+    assert ranges == [(i, i + 1) for i in range(steps)]
+    assert profile_tuple(prof) == profile_tuple(iso_profile(g, strategy="gray"))
 
 
 def test_only_irregular_graphs_scan_the_boundary(monkeypatch):
@@ -272,7 +354,7 @@ def test_only_irregular_graphs_scan_the_boundary(monkeypatch):
         real = getattr(solver, name)
 
         def scan(g, **kwargs):
-            seen.append((name, kwargs["boundary"]))
+            seen.append((name, kwargs.get("boundary"), kwargs.get("degree")))
             return real(g, **kwargs)
         return scan
 
@@ -283,8 +365,8 @@ def test_only_irregular_graphs_scan_the_boundary(monkeypatch):
     for g in (irregular, petersen()):
         for strategy in ("gray", "blocks"):
             iso_profile(g, strategy=strategy, low_bits=6)
-    assert seen == [("_scan_gray", True), ("_scan_blocks", True),
-                    ("_scan_gray", False), ("_scan_blocks", False)]
+    assert seen == [("_scan_gray", True, None), ("_scan_blocks", None, None),
+                    ("_scan_gray", False, None), ("_scan_blocks", None, 3)]
 
 
 # ------------------------------------------------------------

@@ -14,11 +14,12 @@ Two scan strategies exist and must agree bit for bit:
 * ``blocks``        - the subset space is split into disjoint blocks
                       that fix all but the lowest 18 bits, so one
                       block's tables fit a per-core L2 cache.  Counts
-                      over all low-bit subsets, sorted by (popcount,
-                      value), are built once; the blocks are then
-                      walked in Gray order of their high bits, so each
-                      step adds or subtracts one precomputed row in
-                      place and reads the per-size extremes with one
+                      over all low-bit subsets, grouped by popcount,
+                      are built once, each piece of the layout by one
+                      broadcast add of two half tables; the blocks are
+                      then walked in Gray order of their high bits, so
+                      each step adds or subtracts one precomputed row
+                      in place and reads the per-size extremes with one
                       segmented reduction.
                       Worker threads take contiguous Gray ranges, and
                       results are merged by comparing (value, mask)
@@ -71,8 +72,16 @@ MAX_THREADS = 256
 # 1.5 MB at k = 18, which fits a 2 MB per-core L2; at k = 20 they take
 # 6 MB and every block step misses that cache.  A regular graph keeps no
 # bnd, so its steps touch two tables, and each of its steps also settles
-# the complement block, so it takes half as many.
+# the complement block, so it takes half as many.  The tables are built
+# once per scan, on one thread, grouped by popcount (``_HALF_BITS``).
 _BLOCK_LOW_BITS = 18
+# The low-mask tables are built grouped by popcount from a low half of at
+# most this many bits and a high half of the rest (``_low_tables``), so
+# the set-up sorts at most 2^12 masks and gathers one table.  Each piece
+# of the layout costs a numpy add or two, with (k - 11) * 13 pieces from
+# k = 12 up: 13 at k = 12 and 91 at k = 18, where a 10-bit half would
+# take 33 and 99.
+_HALF_BITS = 12
 _GRAY_MAX_N = 9  # auto scans up to here with gray, above with blocks
 
 
@@ -286,23 +295,94 @@ def _scan_gray(g: Graph, boundary: bool = True):
     return best_i, best_t, wit_i, wit_t
 
 
-def _weighted_subset_sums(weights) -> np.ndarray:
-    """out[mask] = sum of weights[j] over the set bits of mask.
+def _subset_sums(weights: np.ndarray, first: int, bits: int) -> np.ndarray:
+    """out[r, x] = sum of weights[r, first + j] over the set bits j of x,
+    for x < 2^bits in mask order.
 
     int16 holds every table the block scan builds: each entry lies
     within [-sum(deg), sum(deg)] (twice the induced edges, a boundary,
     or twice the edges from one vertex), and under the scan ceiling
     sum(deg) <= 32 * 31 = 992.
     """
-    out = np.zeros(1 << len(weights), dtype=np.int16)
+    out = np.zeros((len(weights), 1 << bits), dtype=np.int16)
     size = 1
-    for w in weights:
-        if w:
-            np.add(out[:size], w, out=out[size:2 * size])
-        else:
-            out[size:2 * size] = out[:size]
+    for b in range(first, first + bits):
+        np.add(out[:, :size], weights[:, b:b + 1], out=out[:, size:2 * size])
         size *= 2
     return out
+
+
+def _half_tables(spelled: np.ndarray, rows: int, first: int, bits: int):
+    """Over the bits first..first+bits-1: the subset sums of every row of
+    ``spelled`` in mask order, whose last row must be all ones, so that
+    the last sums are popcounts; the first ``rows`` of them and the
+    masks, both sorted by popcount (stably, so the masks ascend within
+    one); and the bounds of each popcount."""
+    sums = _subset_sums(spelled, first, bits)
+    order = np.argsort(sums[-1], kind="stable")
+    bounds = list(itertools.accumulate((math.comb(bits, c) for c in range(bits + 1)),
+                                       initial=0))
+    return sums, sums[:rows].take(order, axis=1), order << first, bounds
+
+
+def _low_tables(adj, weights: list, k: int):
+    """(order, ind0, sums, pieces): tables over the low masks x < 2^k,
+    grouped by popcount; ``weights`` is a list of rows of k weights.
+
+    ``order`` lists the masks: segment c holds the c-subsets, and
+    ``pieces[c]`` lists its pieces as (start, stop).  The k bits split
+    into a low half of min(k, _HALF_BITS) bits and a high half of the
+    rest, each sorted by popcount.  Over q ascending, segment c's pieces
+    are the high-half masks of popcount q (outer) times the low-half
+    masks of popcount c - q (inner), so a piece's masks ascend and a
+    segment's in general do not.  ``sums[r, i]`` is the sum of
+    ``weights[r][j]`` over the bits j of ``order[i]``, and ``ind0[i]`` is
+    twice the edges inside ``order[i]``.  Each piece of ``order`` and of
+    every row of ``sums`` is one broadcast add of the halves' sorted
+    tables; ``ind0`` is one gather.
+    """
+    rows = len(weights)
+    low = min(k, _HALF_BITS)
+    # One subset-sum pass per half serves every table: the rows of
+    # ``weights``; per vertex v, twice its edges to the lower vertices;
+    # and the popcount.
+    lower = [[2 * (adj[v] >> u & 1) if u < v else 0 for u in range(k)] for v in range(k)]
+    spelled = np.array(weights + lower + [[1] * k], dtype=np.int16)
+    lnat, lsum, lmask, lb = _half_tables(spelled, rows, 0, low)
+    hnat, hsum, hmask, hb = _half_tables(spelled, rows, low, k - low)
+
+    # Twice the edges inside x, in mask order: vertex v adds twice its
+    # edges into x to each x < 2^v, a subset sum over x's halves.
+    induced = np.zeros(1 << k, dtype=np.int16)
+    for v in range(k):
+        size = 1 << v
+        if v < low:
+            np.add(induced[:size], lnat[rows + v, :size], out=induced[size:2 * size])
+        else:
+            grid = induced[size:2 * size].reshape(-1, 1 << low)
+            np.add(induced[:size].reshape(-1, 1 << low), lnat[rows + v], out=grid)
+            grid += hnat[rows + v, :size >> low, None]
+
+    lows = [(lsum[:, None, lb[p]:lb[p + 1]], lmask[lb[p]:lb[p + 1]]) for p in range(low + 1)]
+    highs = [(hsum[:, hb[q]:hb[q + 1], None], hmask[hb[q]:hb[q + 1], None])
+             for q in range(k - low + 1)]
+    order = np.empty(1 << k, dtype=np.intp)
+    sums = np.empty((rows, 1 << k), dtype=np.int16)
+    pieces = []
+    at = 0
+    for c in range(k + 1):
+        segment = []
+        for q in range(max(0, c - low), min(c, k - low) + 1):
+            (hs, hm), (ls, lm) = highs[q], lows[c - q]
+            shape = (len(hm), len(lm))
+            end = at + shape[0] * shape[1]
+            np.add(hm, lm, order[at:end].reshape(shape))
+            if rows:
+                np.add(hs, ls, sums[:, at:end].reshape(rows, *shape))
+            segment.append((at, end))
+            at = end
+        pieces.append(segment)
+    return order, induced.take(order), sums, pieces
 
 
 def _scan_blocks(g: Graph, low_bits: int | None = None, degree: int | None = None):
@@ -322,30 +402,39 @@ def _scan_blocks(g: Graph, low_bits: int | None = None, degree: int | None = Non
     mirror = not boundary and hi > 0
     walked = hi - 1 if mirror else hi  # high vertices the Gray walk flips
 
-    # Low masks sorted by (popcount, value); within a popcount class the
-    # masks stay ascending, so a segment's first argmax is its least mask
-    # and its last argmax its greatest.
-    pc = _weighted_subset_sums([1] * k)
-    order = np.argsort(pc, kind="stable")
-    starts = list(itertools.accumulate((math.comb(k, c) for c in range(k)), initial=0))
-    bounds = starts[1:] + [1 << k]
-    starts_arr = np.array(starts)
+    # Tables over the low masks, grouped by popcount (``_low_tables``):
+    # twice the induced edges inside the low set, and (if ``boundary``) its
+    # boundary in the whole graph.  Doubling the induced count lets one row
+    # per high vertex update both.  rows[j][x]: twice the edges from high
+    # vertex k + j into low set x.
+    weights = [[2 * (adj[v] >> u & 1) for u in range(k)] for v in range(k, k + walked)]
+    if boundary:
+        weights.append(deg[:k])
+    order, ind0, sums, pieces = _low_tables(adj, weights, k)
+    rows = sums[:walked]
+    bnd0 = sums[walked] - ind0 if boundary else None
+    starts = np.array([segment[0][0] for segment in pieces])
 
-    # Tables over the low masks, in that order: twice the induced edges
-    # inside the low set, and (if ``boundary``) its boundary in the whole
-    # graph.  Doubling the induced count lets one row per high vertex
-    # update both.
-    ilow = np.zeros(1 << k, dtype=np.int16)
-    size = 1
-    for v in range(k):
-        below = [(adj[v] >> j) & 1 for j in range(v)]
-        np.add(ilow[:size], _weighted_subset_sums(below), out=ilow[size:2 * size])
-        size *= 2
-    ind0 = 2 * ilow[order]
-    bnd0 = _weighted_subset_sums(deg[:k])[order] - ind0 if boundary else None
-    # rows[j][x]: twice the edges from high vertex k + j into low set x.
-    rows = [_weighted_subset_sums([2 * (adj[v] >> u & 1) for u in range(k)])[order]
-            for v in range(k, k + walked)]
+    def extreme_mask(table, c: int, top: int, reduce, greatest: bool = False) -> int:
+        """The least (or greatest) low mask of segment c whose entry is
+        ``top``, the segment's np.maximum or np.minimum (``reduce``).
+        Each piece ascends, so its first (last) extreme entry is its
+        least (greatest) mask; only pieces that reach ``top`` are
+        searched."""
+        first = np.ndarray.argmax if reduce is np.maximum else np.ndarray.argmin
+        found = []
+        segment = pieces[c]
+        if len(segment) > 1:
+            first_lo = segment[0][0]
+            bests = reduce.reduceat(table[first_lo:segment[-1][1]],
+                                    [lo - first_lo for lo, _ in segment]).tolist()
+            segment = [piece for piece, best in zip(segment, bests) if best == top]
+        for lo, stop in segment:
+            if greatest:
+                found.append(int(order[stop - 1 - int(first(table[lo:stop][::-1]))]))
+            else:
+                found.append(int(order[lo + int(first(table[lo:stop]))]))
+        return max(found) if greatest else min(found)
 
     # With ``mirror``, walked block H also settles its complement block:
     # that block's best at size n - s is E - r*s plus H's best at s, and
@@ -396,27 +485,22 @@ def _scan_blocks(g: Graph, low_bits: int | None = None, degree: int | None = Non
             pch = high.bit_count()
             twin_full = full ^ high_all
             # a tie beats the kept witness only from a lower block
-            for c, top in enumerate(np.maximum.reduceat(ind, starts_arr).tolist()):
+            for c, top in enumerate(np.maximum.reduceat(ind, starts).tolist()):
                 s = pch + c
                 key = (-(top // 2 + ih), full)
                 if key < best_i[s]:
-                    lo = starts[c]
-                    p = int(np.argmax(ind[lo:bounds[c]]))
-                    best_i[s] = (key[0], full | int(order[lo + p]))
+                    best_i[s] = (key[0], full | extreme_mask(ind, c, top, np.maximum))
                 if mirror:
                     twin = (key[0] + degree * s - edge_total, twin_full)
                     if twin < best_i[n - s]:
-                        lo = starts[c]
-                        p = bounds[c] - 1 - int(np.argmax(ind[lo:bounds[c]][::-1]))
-                        best_i[n - s] = (twin[0], twin_full | (low_all ^ int(order[p])))
+                        last = extreme_mask(ind, c, top, np.maximum, greatest=True)
+                        best_i[n - s] = (twin[0], twin_full | (low_all ^ last))
             if not boundary:
                 continue
-            for c, low in enumerate(np.minimum.reduceat(bnd, starts_arr).tolist()):
+            for c, low in enumerate(np.minimum.reduceat(bnd, starts).tolist()):
                 key = (low + dh - 2 * ih, full)
                 if key < best_t[pch + c]:
-                    lo = starts[c]
-                    p = int(np.argmin(bnd[lo:bounds[c]]))
-                    best_t[pch + c] = (key[0], full | int(order[lo + p]))
+                    best_t[pch + c] = (key[0], full | extreme_mask(bnd, c, low, np.minimum))
         return best_i, best_t
 
     blocks = 1 << walked

@@ -1,9 +1,12 @@
 """Profile scans, witnesses, and nested-solution searches."""
 
+import hashlib
+import json
 import math
 import os
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +16,7 @@ from conftest import brute_tables, brute_witnesses, random_graph
 from edgeiso.errors import CapacityError, InputError
 from edgeiso.graphs import (boundary_edges, cartesian_power, cartesian_product, complete,
                             cycle, degrees, empty_graph, from_edge_list, graph_union, graph_z,
-                            is_regular, path, petersen, relabel, star)
+                            is_regular, named, path, petersen, relabel, star)
 from edgeiso.solver import (MAX_THREADS, SCAN_CEILING, THREADS_ENV, IsoProfile,
                             enumerate_optimal_orders, has_ns, iso_profile, thread_count,
                             verify_order)
@@ -220,6 +223,72 @@ def test_production_width_blocks_equal_gray(monkeypatch):
         assert profile_tuple(iso_profile(g, strategy="blocks")) == gray, workers
 
 
+@pytest.mark.parametrize("g, digest", [
+    (cartesian_power(complete(3), 3),
+     "2daed19517e55208626005e8002c24cde37abb456bc04a27b588d4ed303e9f3d"),
+    (named("product(path(4),path(6))"),
+     "65ec143b1607c89a812688312cafcc254555a13bdd3c02e71f3c8fd03acf8c07"),
+], ids=["complete(3)^3", "path(4) x path(6)"])
+def test_production_width_profiles_pinned(g, digest, monkeypatch):
+    # The full-width 2^27 mirrored walk of a regular graph, and the
+    # two-table walk of an irregular one over 64 blocks, pinned to the
+    # digests of their tables and witnesses.
+    for workers in ("1", "3"):
+        monkeypatch.setenv(THREADS_ENV, workers)
+        text = json.dumps(iso_profile(g).to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, workers
+
+
+def bit_matrix(masks, k):
+    return (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(k)) & 1
+
+
+def check_low_tables(adj, weights, k):
+    import edgeiso.solver as solver
+    order, ind0, sums, pieces = solver._low_tables(adj, weights, k)
+    assert np.array_equal(np.sort(order), np.arange(1 << k))
+    # segment c is contiguous, holds comb(k, c) masks of popcount c (so
+    # exactly the c-subsets), and each of its pieces ascends
+    at = 0
+    for c, segment in enumerate(pieces):
+        assert segment[0][0] == at and sum(stop - lo for lo, stop in segment) == math.comb(k, c)
+        for lo, stop in segment:
+            assert lo == at
+            piece = order[lo:stop]
+            assert (np.diff(piece) > 0).all() and (bit_matrix(piece, k).sum(axis=1) == c).all()
+            at = stop
+    assert at == 1 << k
+    bits = bit_matrix(order, k)
+    assert np.array_equal(sums, (bits @ np.array(weights, dtype=np.int64).reshape(-1, k).T).T)
+    lower = bit_matrix(adj[:k], k) * (np.arange(k) < np.arange(k)[:, None])
+    assert np.array_equal(ind0, 2 * ((bits @ lower) * bits).sum(axis=1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_low_tables_group_subset_sums_by_popcount(data):
+    import edgeiso.solver as solver
+    k = data.draw(st.integers(1, 12))
+    half = data.draw(st.integers(1, k))
+    weights = data.draw(st.lists(st.lists(st.integers(0, 31), min_size=k, max_size=k),
+                                 max_size=3))
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = from_edge_list(k, [pair for pair, kept in zip(pairs, keep) if kept])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_HALF_BITS", half)
+        check_low_tables(g.adj, weights, k)
+
+
+def test_low_tables_at_full_width_with_the_largest_entries():
+    # The largest weights a scan passes: 2 per edge from a high vertex,
+    # and degrees up to 31 under the 32-vertex ceiling; and the most
+    # low edges.  Entries reach 18 * 31 = 558, past int8.
+    import edgeiso.solver as solver
+    k = solver._BLOCK_LOW_BITS
+    check_low_tables(complete(k).adj, [[2] * k, [31] * k], k)
+
+
 # ------------------------------------------------------------
 # Regular graphs: the boundary table is derived from the induced one
 # ------------------------------------------------------------
@@ -309,6 +378,53 @@ def test_mirrored_block_walk_matches_brute_oracles(g, data):
     assert (list(prof.induced), list(prof.boundary)) == brute_tables(g.n, edges)
     assert (list(prof.induced_witness),
             list(prof.boundary_witness)) == brute_witnesses(g.n, edges)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_split_popcount_layout_matches_brute_oracles(data):
+    # A low half narrower than the block splits each popcount segment into
+    # pieces that ascend on their own, so the witness search runs over
+    # several pieces at brute-oracle sizes, mirrored blocks included.
+    import edgeiso.solver as solver
+    if data.draw(st.booleans()):
+        g = data.draw(mirrored_regular_graphs())
+    else:
+        n = data.draw(st.integers(2, 10))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = from_edge_list(n, [pair for pair, kept in zip(pairs, keep) if kept])
+    low_bits = data.draw(st.integers(1, g.n))
+    half = data.draw(st.integers(1, low_bits))
+    threads = data.draw(st.integers(1, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_HALF_BITS", half)
+        mp.setenv(THREADS_ENV, str(threads))
+        prof = iso_profile(g, strategy="blocks", low_bits=low_bits)
+    edges = g.edges()
+    assert (list(prof.induced), list(prof.boundary)) == brute_tables(g.n, edges)
+    assert (list(prof.induced_witness),
+            list(prof.boundary_witness)) == brute_witnesses(g.n, edges)
+
+
+# A cubic graph on 10 vertices, not vertex-transitive: its two optimal
+# 7-sets both hold vertex 9, the one high vertex at 9 low bits, so the
+# 7-set witness comes from a mirrored block.  With a low half of 2, 4 or
+# 5 bits, the greatest maximizer of the walked block's 3-subsets is not in
+# the last piece of its segment that reaches the top.
+CUBIC_10 = [(0, 1), (0, 6), (0, 9), (1, 3), (1, 8), (2, 4), (2, 5), (2, 7), (3, 8), (3, 9),
+            (4, 6), (4, 8), (5, 7), (5, 9), (6, 7)]
+
+
+@pytest.mark.parametrize("half", [2, 4, 5])
+def test_mirrored_witness_is_the_greatest_maximizer_of_all_pieces(half, monkeypatch):
+    import edgeiso.solver as solver
+    monkeypatch.setattr(solver, "_HALF_BITS", half)
+    g = from_edge_list(10, CUBIC_10)
+    assert is_regular(g) == (True, 3)
+    prof = iso_profile(g, strategy="blocks", low_bits=9)
+    assert prof.induced_witness[7] == 0x2f5
+    assert list(prof.induced_witness) == brute_witnesses(10, CUBIC_10)[0]
 
 
 @pytest.mark.parametrize("g, high, steps", [

@@ -43,25 +43,34 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .delta import DeltaSequence, nested_solution_form
+from .delta import DeltaSequence, nested_solution_form, ns_delta
 from .errors import CapacityError, InputError
-from .graphs import MAX_VERTICES, Graph, cartesian_power
+from .graphs import Graph, capped_power, cartesian_power
 from .solver import SCAN_CEILING, IsoProfile, _PrefixDag, iso_profile, verify_order
 
 _NEG = -(1 << 50)  # impossible-state sentinel for the DP tables
+
+# Compressed mode's bound on the cells its top power's DP fills once each,
+# (n_h + 1)(n_h * n + 1)(n + 1) for g^d with n_h = n^(d-1): 2^26 admits
+# complete(3)^8 (57.5 M) and refuses complete(2)^13 (100.7 M).
+MAX_DP_CELLS = 1 << 26
 
 
 class Diagram:
     """A staircase of cells inside an n_h x n_g box.
 
     ``heights[x]`` is the number of cells in column x; heights are
-    validated to be non-increasing and within the box.
+    validated to be integers, non-increasing and within the box.
     """
 
     __slots__ = ("heights", "box")
 
     def __init__(self, heights, box: tuple[int, int]):
         hs = tuple(heights)
+        try:
+            hs = tuple(map(operator.index, hs))  # a float would pass the range checks
+        except TypeError:
+            raise InputError(f"column heights must be integers, got {hs}")
         nh, ng = box
         if len(hs) != nh:
             raise InputError(f"need {nh} column heights, got {len(hs)}")
@@ -86,12 +95,6 @@ class Diagram:
     def size(self) -> int:
         return sum(self.heights)
 
-    def cells(self):
-        """Cells (x, y) in column-major order."""
-        for x, h in enumerate(self.heights):
-            for y in range(h):
-                yield (x, y)
-
     def product_mask(self) -> int:
         """Bit mask of the cells under the (x, y) -> x * n_g + y labeling."""
         nh, ng = self.box
@@ -110,25 +113,6 @@ class Diagram:
         except ValueError:
             raise InputError(f"bad diagram serialization {text!r}")
         return cls(heights, box)
-
-    @classmethod
-    def lex_prefix(cls, nh: int, ng: int, m: int) -> "Diagram":
-        """First m cells in lex order: fill column 0, then column 1, ..."""
-        if not 0 <= m <= nh * ng:
-            raise InputError(f"size {m} outside the {nh}x{ng} box")
-        full, part = divmod(m, ng)
-        heights = [ng] * full + ([part] if part else [])
-        heights += [0] * (nh - len(heights))
-        return cls(heights, (nh, ng))
-
-    @classmethod
-    def colex_prefix(cls, nh: int, ng: int, m: int) -> "Diagram":
-        """First m cells in colex order: fill row 0, then row 1, ..."""
-        if not 0 <= m <= nh * ng:
-            raise InputError(f"size {m} outside the {nh}x{ng} box")
-        full, part = divmod(m, nh)
-        heights = [full + 1] * part + [full] * (nh - part)
-        return cls(heights, (nh, ng))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Diagram) and (self.heights, self.box) == (other.heights, other.box)
@@ -217,15 +201,12 @@ class DiagramOptimizer:
     column x at height h.  ``_optima`` keeps two when no witness is read.
 
     ``witnesses`` rebuilds the witnesses of many sizes together, one
-    numpy step per column, so a failing power costs n_h steps however
-    many of its rows fail; ``witness`` is its one-size case.
+    numpy step per column, so a failing square costs n_h steps however
+    many of its rows fail.
     """
 
     def __init__(self, dh: DeltaSequence, dg: DeltaSequence):
-        self.dh = dh
-        self.dg = dg
-        nh, ng = len(dh), len(dg)
-        self.nh, self.ng = nh, ng
+        self.nh, self.ng = len(dh), len(dg)
         self.colw = _column_weights(dh, dg)
         self.tables = list(_column_tables(dh, dg))[::-1]
 
@@ -237,12 +218,9 @@ class DiagramOptimizer:
     def optima(self) -> list[int]:
         return [int(v) for v in self.tables[0][:, self.ng]]
 
-    def witness(self, m: int) -> Diagram:
-        """Lexicographically least height vector among the optima."""
-        return self.witnesses([m])[0]
-
     def witnesses(self, sizes) -> list[Diagram]:
-        """``witness(m)`` for every m in ``sizes``, in the same order.
+        """For every m in ``sizes``, in the same order, the
+        lexicographically least height vector among the optima of size m.
 
         All sizes walk the columns together: at column x each takes the
         least height h <= min(cap, remaining) with colw[x][h] +
@@ -345,7 +323,7 @@ def enumerate_compressed_optimal_orders(g: Graph, cap: int = 10,
     """All diagram chains for g x g whose every prefix hits the
     compressed optimum.  Existence of any full chain certifies nested
     solutions for the square, with compressed witnesses."""
-    _, d = nested_solution_form(g, profile)
+    d = ns_delta(g, profile)
     return _enumerate_chains(d, d, cap=cap, count_limit=count_limit)
 
 
@@ -421,24 +399,30 @@ def _lex_power_rows(dg: DeltaSequence, d: int) -> tuple[int, tuple[SizeCheck, ..
     g^(k-1) x g.  Lex is optimal on g^(k-1) by the step before, so it is
     a nested-solution order there and its prefix differences are the
     left factor's delta; the diagram DP then gives the exact optimum of
-    g^k per size.  Returns (k, rows) for the first power k where lex
-    fails, or (d, rows of g^d) when it holds on every power up to d.
-    A failing row's witness is the serialized optimal diagram.
+    g^k per size.  Returns (2, rows) when lex fails on the square, a
+    failing row's witness the serialized optimal diagram, or (d, rows
+    of g^d).  Only the square keeps its full table set, for witnesses:
+    by Ahlswede and Cai's local-global principle, lex optimal on g^2 is
+    optimal on every power, so a later failing power is a solver bug.
     """
     rows = tuple(SizeCheck(m, w, w, True, None)
                  for m, w in enumerate(itertools.accumulate(dg), start=1))
+    if len(dg) == 1:  # every power of one vertex has these rows
+        return d, rows
     dh = dg
     for k in range(2, d + 1):
-        nh, ng = len(dh), len(dg)
+        square = DiagramOptimizer(dg, dg) if k == 2 else None
+        optima = _optima(dh, dg) if square is None else square.optima()
         gain_h, gain_g = dh.values, dg.values
-        steps = [gain_h[x] + gain_g[y] for x, y in Diagram.lex_prefix(nh, ng, nh * ng).cells()]
-        optima = _optima(dh, dg)
+        steps = [gain_h[x] + gain_g[y] for x, y in _lex_cells(len(dh), len(dg))]
         rows = tuple(SizeCheck(m, w, optima[m], w == optima[m], None)
                      for m, w in enumerate(itertools.accumulate(steps), start=1))
         failing = [row.size for row in rows if not row.ok]
+        if failing and square is None:
+            raise RuntimeError(f"lex fails on power {k} after passing on the square, "
+                               f"against Ahlswede-Cai; solver bug")
         if failing:
-            opt = DiagramOptimizer(dh, dg)  # all n_h + 1 tables, for this power's witnesses
-            found = iter(opt.witnesses(failing))
+            found = iter(square.witnesses(failing))
             return k, tuple(row if row.ok else row._replace(witness=next(found).serialize())
                             for row in rows)
         dh = DeltaSequence(steps)
@@ -448,12 +432,11 @@ def _lex_power_rows(dg: DeltaSequence, d: int) -> tuple[int, tuple[SizeCheck, ..
 def verify_lex_square(g: Graph, profile: IsoProfile | None = None) -> OptimalityReport:
     """Is the lex chain optimal at every size of g x g?
 
-    The graph is first relabeled by its nested-solution order; the lex
-    prefix weights are then compared against the diagram DP optimum for
-    each of the n^2 sizes.  Exact, not sampled.
+    Both factors take the delta of g under its nested-solution order; the
+    lex prefix weights are then compared against the diagram DP optimum
+    for each of the n^2 sizes.  Exact, not sampled.
     """
-    _, d = nested_solution_form(g, profile)
-    _, rows = _lex_power_rows(d, 2)
+    _, rows = _lex_power_rows(ns_delta(g, profile), 2)
     return OptimalityReport(
         subject=f"lex chain on {g.display_name()} squared",
         rows=rows, ok=all(row.ok for row in rows), evidence_only=False,
@@ -464,29 +447,26 @@ def power_lex_check(g: Graph, d: int, mode: str = "exhaustive",
                     profile: IsoProfile | None = None) -> OptimalityReport:
     """Compare numeric-prefix sets of a power graph against the optimum.
 
-    The base graph is relabeled by its nested-solution order, so the
+    Labels follow a nested-solution order of the base graph, so the
     first m labels of the power are the lex-least m coordinate tuples.
-    ``exhaustive`` scans all 2^(n^d) subsets of the power, up to the
-    32-vertex scan ceiling.  ``compressed`` inducts on the power with the
-    diagram DP and reaches the graph cap.  When lex first fails at a power
-    k < d, its report covers g^k: a lex prefix of g^k sits in a copy of
-    g^k inside g^d, so it fails in g^d too.
+    ``exhaustive`` scans all 2^(n^d) subsets of the relabeled power, up
+    to the 32-vertex scan ceiling.  ``compressed`` inducts on the power
+    with the diagram DP on delta sequences, up to ``MAX_DP_CELLS``.  When
+    lex fails on the square and d > 2, the report covers g^2: a lex
+    prefix of g^2 sits in a copy of g^2 inside g^d, so fails there too.
     """
     if mode not in ("exhaustive", "compressed"):
         raise InputError(f"unknown mode {mode!r}; use exhaustive or compressed")
     if d < 1:
         raise InputError(f"power exponent must be at least 1, got {d}")
-    if g.n ** d > MAX_VERTICES:
-        raise CapacityError(
-            f"power on {g.n}^{d} vertices exceeds the {MAX_VERTICES}-vertex cap")
-    if mode == "exhaustive" and g.n ** d > SCAN_CEILING:
-        raise CapacityError(
-            f"exhaustive check of {g.n}^{d} vertices exceeds the {SCAN_CEILING}-vertex "
-            f"ceiling; the compressed mode reaches further")
-    base, dg = nested_solution_form(g, profile)
     name = g.display_name()
     if mode == "compressed":
-        k, rows = _lex_power_rows(dg, d)
+        nh = capped_power(g.n, d - 1, MAX_DP_CELLS)
+        if (nh + 1) * (nh * g.n + 1) * (g.n + 1) > MAX_DP_CELLS:
+            raise CapacityError(
+                f"compressed check of {g.n}^{d} vertices exceeds the {MAX_DP_CELLS}-cell "
+                f"bound on its column DP")
+        k, rows = _lex_power_rows(ns_delta(g, profile), d)
         subject = f"lex prefixes of {name}^{k}"
         note = f"iterated diagram DP, exact optima of powers 1..{k}"
         if k < d:
@@ -494,6 +474,11 @@ def power_lex_check(g: Graph, d: int, mode: str = "exhaustive",
             note += f"; a failing lex prefix of {name}^{k} fails in {name}^{d} too"
         return OptimalityReport(subject, rows, all(row.ok for row in rows), False, note)
 
+    if capped_power(g.n, d, SCAN_CEILING) > SCAN_CEILING:
+        raise CapacityError(
+            f"exhaustive check of {g.n}^{d} vertices exceeds the {SCAN_CEILING}-vertex "
+            f"ceiling; the compressed mode reaches further")
+    base, _ = nested_solution_form(g, profile)
     gp = cartesian_power(base, d)
     prof = iso_profile(gp)
     prefixes = verify_order(gp, range(gp.n), prof)

@@ -90,19 +90,26 @@ def delta_of(profile: IsoProfile, ns_order: tuple[int, ...] | None = None) -> De
     return d
 
 
-def nested_solution_form(g: Graph, profile: IsoProfile | None = None):
-    """(relabeled graph, delta sequence) with labels following a
-    nested-solution order, so every initial segment 0..m-1 is optimal.
-
-    Raises NsRequiredError when the graph has no such order.
-    """
+def ns_delta(g: Graph, profile: IsoProfile | None = None) -> DeltaSequence:
+    """The delta sequence of g tagged with a nested-solution order
+    (``ns_order``); raises NsRequiredError when g has no such order."""
     prof = profile or iso_profile(g)
     search = has_ns(g, prof)
     if search.order is None:
         raise NsRequiredError(
             f"{g.display_name()} has no nested solutions (deepest optimal prefix: "
             f"{search.deepest})")
-    return relabel(g, search.order), delta_of(prof, ns_order=search.order)
+    return delta_of(prof, ns_order=search.order)
+
+
+def nested_solution_form(g: Graph, profile: IsoProfile | None = None):
+    """(relabeled graph, delta sequence) with labels following a
+    nested-solution order, so every initial segment 0..m-1 is optimal.
+
+    Raises NsRequiredError when the graph has no such order.
+    """
+    d = ns_delta(g, profile)
+    return relabel(g, d.ns_order), d
 
 
 class GapCheck(NamedTuple):

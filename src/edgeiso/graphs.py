@@ -330,14 +330,22 @@ def cartesian_power(g: Graph, d: int) -> Graph:
     """
     if d < 1:
         raise InputError(f"power exponent must be at least 1, got {d}")
-    if g.n ** d > MAX_VERTICES:
+    if capped_power(g.n, d, MAX_VERTICES) > MAX_VERTICES:
         raise CapacityError(
             f"power on {g.n}^{d} vertices exceeds the {MAX_VERTICES}-vertex cap")
+    label = g.name if g.name else f"graph(n={g.n})"
+    if g.n == 1:  # every power of one vertex is one vertex, however large d is
+        return Graph(1, name=f"power({label},{d})")
     out = g
     for _ in range(d - 1):
         out = cartesian_product(out, g)
-    label = g.name if g.name else f"graph(n={g.n})"
     return Graph(out.n, out.edges(), name=f"power({label},{d})")
+
+
+def capped_power(n: int, d: int, bound: int) -> int:
+    """n ** d when that is at most ``bound``, else some value above it;
+    the exponent stops at bound's bit length, as 2 ** that exceeds bound."""
+    return n ** min(d, bound.bit_length())
 
 
 def relabel(g: Graph, order: Iterable[int]) -> Graph:

@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .graphs import Graph, VertexSet, _edge_counts, bit_indices, is_regular
+from .graphs import Graph, _edge_counts, bit_indices, is_regular
 
 # The one profile-scan limit; no call or flag moves it.  A 2^32 scan takes
 # 0.4 s on a regular graph and 1.2 s on an irregular one (two cores); each
@@ -121,9 +121,6 @@ class IsoProfile:
         self.induced_witness = tuple(induced_witness)
         self.boundary_witness = tuple(boundary_witness)
         self._validate()
-
-    def witness(self, m: int) -> VertexSet:
-        return VertexSet.from_mask(self.graph.n, self.induced_witness[m])
 
     def _validate(self) -> None:
         g = self.graph

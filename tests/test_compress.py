@@ -1,8 +1,10 @@
 """Diagrams, the column DP, compression, chains, and order reports."""
 
 import random
+import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -15,8 +17,8 @@ from edgeiso.compress import (_NEG, CompressedChain, Diagram, DiagramOptimizer,
                               power_lex_check, staircase_members, verify_lex_square)
 from edgeiso.delta import DeltaSequence, delta_of, nested_solution_form
 from edgeiso.errors import CapacityError, InputError, NsRequiredError
-from edgeiso.graphs import (cartesian_power, cartesian_product, complete, cycle,
-                            empty_graph, from_edge_list, induced_edges, named,
+from edgeiso.graphs import (Graph, cartesian_power, cartesian_product, complete, cycle,
+                            empty_graph, from_edge_list, graph_z, induced_edges, named,
                             path, petersen, relabel)
 from edgeiso.solver import has_ns, iso_profile
 
@@ -54,10 +56,17 @@ def test_diagram_validation():
         Diagram((1, 2, 0), (3, 3))
 
 
+def test_diagram_rejects_non_integer_heights():
+    # 1.5 lies within 0..n_g and keeps the heights non-increasing
+    for heights in ((1.5, 0), (2, "1"), (None, 0)):
+        with pytest.raises(InputError, match="must be integers"):
+            Diagram(heights, (2, 2))
+    assert Diagram((np.int64(2), True), (2, 2)).heights == (2, 1)
+
+
 def test_diagram_cells_and_mask():
     d = Diagram((2, 1, 0), (3, 3))
     assert d.size == 3
-    assert list(d.cells()) == [(0, 0), (0, 1), (1, 0)]
     # labels x * 3 + y: cells 0, 1, 3
     assert d.product_mask() == 0b1011
 
@@ -82,22 +91,25 @@ def test_diagram_serialization():
 
 
 def test_prefix_constructors():
-    assert Diagram.lex_prefix(3, 4, 5).heights == (4, 1, 0)
-    assert Diagram.colex_prefix(3, 4, 5).heights == (2, 2, 1)
+    assert lex_chain(3, 4).diagram(5).heights == (4, 1, 0)
+    assert colex_chain(3, 4).diagram(5).heights == (2, 2, 1)
     for m in range(13):
-        assert Diagram.lex_prefix(3, 4, m).size == m
-        assert Diagram.colex_prefix(3, 4, m).size == m
-    with pytest.raises(InputError):
-        Diagram.lex_prefix(3, 4, 13)
+        assert lex_chain(3, 4).diagram(m).size == m
+        assert colex_chain(3, 4).diagram(m).size == m
 
 
 def test_prefixes_match_chains():
-    for nh, ng in ((2, 2), (3, 4), (4, 3)):
+    # lex fills column 0, then column 1, ...; colex fills row 0, then row 1, ...
+    for nh, ng in ((2, 2), (3, 4), (4, 3), (1, 5), (5, 1)):
         lex = lex_chain(nh, ng)
         colex = colex_chain(nh, ng)
         for m in range(nh * ng + 1):
-            assert lex.diagram(m) == Diagram.lex_prefix(nh, ng, m)
-            assert colex.diagram(m) == Diagram.colex_prefix(nh, ng, m)
+            full, part = divmod(m, ng)
+            heights = ([ng] * full + [part] + [0] * nh)[:nh]
+            assert lex.diagram(m) == Diagram(heights, (nh, ng))
+            full, part = divmod(m, nh)
+            heights = [full + 1] * part + [full] * (nh - part)
+            assert colex.diagram(m) == Diagram(heights, (nh, ng))
 
 
 # ------------------------------------------------------------
@@ -156,7 +168,7 @@ def test_optimizer_matches_exhaustive_diagram_scan():
                 arg[diagram.size].append(heights)
         for m in range(h_graph.n * g_graph.n + 1):
             assert opt.optimum(m) == best[m]
-            witness = opt.witness(m)
+            witness, = opt.witnesses([m])
             assert witness.size == m
             assert diagram_weight(dh, dg, witness) == best[m]
             # the DP returns the lexicographically least optimal heights
@@ -203,7 +215,7 @@ def test_optimizer_equals_product_profile_k3():
     opt = DiagramOptimizer(d, d)
     assert tuple(opt.optima()) == K3K3_INDUCED
     assert opt.optimum(4) == K3K3_INDUCED[4]
-    assert opt.witness(4).heights == (2, 1, 1)
+    assert opt.witnesses([4])[0].heights == (2, 1, 1)
     product = cartesian_product(complete(3), complete(3))
     assert iso_profile(product).induced == K3K3_INDUCED
 
@@ -213,7 +225,7 @@ def test_optimizer_range_errors():
     with pytest.raises(InputError):
         opt.optimum(10)
     with pytest.raises(InputError):
-        opt.witness(-1)
+        opt.witnesses([-1])
 
 
 @st.composite
@@ -247,7 +259,7 @@ def test_witnesses_match_single_witness_and_brute_force(case):
     got = opt.witnesses(sizes)
     brute = brute_lex_least_optima(dh, dg)
     assert [w.heights for w in got] == [brute[m] for m in sizes]
-    assert got == [opt.witness(m) for m in sizes]
+    assert got == [opt.witnesses([m])[0] for m in sizes]
     assert all(w.box == (len(dh), len(dg)) for w in got)
     # rows skip Diagram's validation; each must still pass it
     assert all(Diagram(w.heights, w.box) == w for w in got)
@@ -269,7 +281,7 @@ def test_witnesses_refuse_a_table_only_a_disallowed_height_meets():
     # cells left (remaining); a corrupt table that only such a height
     # would meet is a failed reconstruction, not a witness
     opt = DiagramOptimizer(DeltaSequence((0, 5, 5)), DeltaSequence((0, 1, 2)))
-    assert opt.witness(3).heights == (1, 1, 1)
+    assert opt.witnesses([3])[0].heights == (1, 1, 1)
     # column 1 places 2 cells under cap 1; claim a height-2 column's value
     taller = opt.colw[1][2] + opt.tables[2][0, 2]
     opt.tables[1][2, 1] = taller
@@ -293,11 +305,7 @@ def test_failing_power_rebuilds_its_witnesses_in_one_batch(monkeypatch, pet):
         calls.append(sizes)
         return batched(self, sizes)
 
-    def per_size(self, m):
-        raise AssertionError("a witness was rebuilt on its own")
-
     monkeypatch.setattr(DiagramOptimizer, "witnesses", counting)
-    monkeypatch.setattr(DiagramOptimizer, "witness", per_size)
     square = verify_lex_square(path(3))
     assert calls == [[row.size for row in square.failures()]]
     assert square.failures()[0].witness == "2,2,0"
@@ -485,6 +493,7 @@ def test_power_lex_check_guards_come_first(monkeypatch):
     def forbidden(*args):
         raise AssertionError("work started before the input guards")
 
+    monkeypatch.setattr(edgeiso.compress, "ns_delta", forbidden)
     monkeypatch.setattr(edgeiso.compress, "nested_solution_form", forbidden)
     monkeypatch.setattr(edgeiso.compress, "DiagramOptimizer", forbidden)
     monkeypatch.setattr(edgeiso.compress, "_column_tables", forbidden)
@@ -494,6 +503,103 @@ def test_power_lex_check_guards_come_first(monkeypatch):
         for d in (13, 40):
             with pytest.raises(CapacityError):
                 power_lex_check(complete(2), d, mode=mode)
+    with pytest.raises(CapacityError, match="cell bound"):
+        power_lex_check(graph_z(2), 4, mode="compressed")
+
+
+# the smallest irregular graph with lex optimal on its square
+NINE = from_edge_list(9, [(int(e[0]), int(e[1])) for e in (
+    "01 02 03 04 05 06 12 13 15 16 24 27 28 34 37 38 45 46 57 58 67 68 78").split()])
+
+
+@pytest.mark.parametrize("g, d, rows", [(graph_z(2), 3, 4913), (NINE, 4, 6561)])
+def test_compressed_reaches_past_the_graph_cap(g, d, rows):
+    report = power_lex_check(g, d, mode="compressed")
+    assert report.ok and len(report.rows) == rows
+    assert report.subject == f"lex prefixes of {g.display_name()}^{d}"
+
+
+def count_calls(monkeypatch, name):
+    """Wrap compress.<name> with a call counter, returned as a list."""
+    calls = []
+    original = getattr(edgeiso.compress, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(edgeiso.compress, name, counting)
+    return calls
+
+
+def test_square_runs_the_column_dp_once(monkeypatch, pet):
+    calls = count_calls(monkeypatch, "_column_tables")
+    assert not verify_lex_square(pet).ok
+    assert len(calls) == 1
+    calls.clear()
+    assert not power_lex_check(path(3), 3, mode="compressed").ok
+    assert len(calls) == 1
+    calls.clear()
+    # a passing square, then one two-table DP per later power
+    assert power_lex_check(complete(3), 4, mode="compressed").ok
+    assert len(calls) == 3
+
+
+def test_late_lex_failure_is_an_internal_error(monkeypatch, capsys):
+    from edgeiso import cli
+
+    optima = edgeiso.compress._optima
+
+    def one_too_high(dh, dg):
+        out = optima(dh, dg)
+        out[5] += 1  # a set of size 5 beats lex
+        return out
+
+    monkeypatch.setattr(edgeiso.compress, "_optima", one_too_high)
+    built = count_calls(monkeypatch, "DiagramOptimizer")
+    with pytest.raises(RuntimeError, match="power 3 after passing on the square"):
+        power_lex_check(complete(2), 3, mode="compressed")
+    assert len(built) == 1  # the square's; none for the failing power
+    built.clear()
+    assert cli.main(["power-check", "complete(2)", "--d", "3", "--mode", "compressed"]) == 4
+    assert "internal error" in capsys.readouterr().err
+    assert len(built) == 1
+    # the square reads its optima from its own tables, not from _optima
+    assert power_lex_check(complete(2), 2, mode="compressed").ok
+
+
+def test_compressed_layer_builds_no_graph(monkeypatch, pet, pet_profile):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(Graph, "__init__", forbidden)
+    assert not verify_lex_square(pet, pet_profile).ok
+    assert enumerate_compressed_optimal_orders(pet, profile=pet_profile).total >= 1
+    assert not power_lex_check(pet, 3, mode="compressed", profile=pet_profile).ok
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "compressed"])
+def test_huge_exponents_finish_at_once(mode):
+    d = 10**9
+    start = time.perf_counter()
+    report = power_lex_check(complete(1), d, mode=mode)
+    assert time.perf_counter() - start < 0.1
+    assert report.ok and len(report.rows) == 1
+    assert report.subject == f"lex prefixes of complete(1)^{d}"
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        power_lex_check(complete(3), d, mode=mode)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_huge_one_vertex_power_builds_at_once():
+    start = time.perf_counter()
+    g = named("power(complete(1),1000000000)")
+    assert time.perf_counter() - start < 0.1
+    assert (g.n, g.name) == (1, "power(complete(1),1000000000)")
+    assert cartesian_power(complete(1), 3).name == "power(complete(1),3)"
+    with pytest.raises(CapacityError):
+        named("power(complete(2),1000000000)")
 
 
 def test_exhaustive_power_check_refuses_before_work(monkeypatch):

@@ -105,8 +105,8 @@ def test_diagram_optimum_equals_product_scan(left, right):
     product = cartesian_product(h, g)
     prof = iso_profile(product)
     assert opt.optima() == list(prof.induced)
-    for m in range(product.n + 1):
-        witness = opt.witness(m)
+    witnesses = opt.witnesses(range(product.n + 1))
+    for m, witness in enumerate(witnesses):
         assert witness.size == m
         assert brute_counts(product, witness.product_mask())[0] == opt.optimum(m)
         # compressing an optimal set keeps it optimal

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_graph
 from edgeiso.delta import (DeltaSequence, delta_of, gap_check, is_delta_dense,
-                           is_symmetric, nested_solution_form,
+                           is_symmetric, nested_solution_form, ns_delta,
                            regularity_crosscheck, segments_of)
 from edgeiso.errors import NsRequiredError
 from edgeiso.graphs import (cartesian_power, complete, cycle, path, petersen,
@@ -97,12 +97,16 @@ def test_nested_solution_form_relabels_to_prefix_optimal(pet):
     assert d.ns_order is not None
     # after relabeling, the numeric order itself is an optimal order
     assert verify_order(form, range(form.n)).ok
+    # the delta-only form is the same tagged sequence, with no graph built
+    alone = ns_delta(pet)
+    assert (alone, alone.ns_order) == (d, d.ns_order)
 
 
 def test_nested_solution_form_requires_ns(no_ns_graph):
-    with pytest.raises(NsRequiredError) as err:
-        nested_solution_form(no_ns_graph)
-    assert "deepest optimal prefix: 3" in str(err.value)
+    for form in (nested_solution_form, ns_delta):
+        with pytest.raises(NsRequiredError) as err:
+            form(no_ns_graph)
+        assert "deepest optimal prefix: 3" in str(err.value)
 
 
 # ------------------------------------------------------------

@@ -16,7 +16,7 @@ from conftest import brute_tables, brute_witnesses, random_graph
 from edgeiso.errors import CapacityError, InputError
 from edgeiso.graphs import (boundary_edges, cartesian_power, cartesian_product, complete,
                             cycle, degrees, empty_graph, from_edge_list, graph_union, graph_z,
-                            is_regular, named, path, petersen, relabel, star)
+                            induced_edges, is_regular, named, path, petersen, relabel, star)
 from edgeiso.solver import (MAX_THREADS, SCAN_CEILING, THREADS_ENV, IsoProfile,
                             enumerate_optimal_orders, has_ns, iso_profile, thread_count,
                             verify_order)
@@ -126,8 +126,9 @@ def test_petersen_profile_frozen(pet, pet_profile):
     assert pet_profile.boundary == PETERSEN_BOUNDARY
     # witnesses are genuine sets of the right size achieving the optimum
     for m in range(pet.n + 1):
-        w = pet_profile.witness(m)
-        assert len(w) == m
+        w = pet_profile.induced_witness[m]
+        assert w.bit_count() == m
+        assert induced_edges(pet, w) == PETERSEN_INDUCED[m]
 
 
 def test_unknown_strategy():

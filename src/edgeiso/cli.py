@@ -4,14 +4,15 @@ Graphs are given either as an edge-list file path or as a constructor
 expression (complete(4), join(X,Y), power(complete(2),3), ...).  Exit
 codes: 0 all requested checks passed, 1 a check failed, 2 bad usage or
 input, 3 capacity exceeded, 4 an internal invariant was violated (a
-solver self-check).  The EDGEISO_THREADS environment variable sets the
-worker count (1..solver.MAX_THREADS) for big scans; output never depends on it.
+solver self-check), 141 stdout was closed early (as by ``| head``; the
+shell's SIGPIPE status).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import casebook as casebook_mod
@@ -26,6 +27,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -198,9 +200,7 @@ def cmd_casebook(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgeiso",
-        description="Exact edge-isoperimetric computations on small graphs.",
-        epilog=f"Set EDGEISO_THREADS to control scan workers (output is identical "
-               f"for any value in 1..{solver_mod.MAX_THREADS}).")
+        description="Exact edge-isoperimetric computations on small graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_text):
@@ -256,7 +256,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        solver_mod.thread_count()  # a bad EDGEISO_THREADS fails before any work
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -273,7 +272,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left: stop quietly, and point stdout at /dev/null so
+        # the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -20,11 +20,10 @@ Two scan strategies exist and must agree bit for bit:
                       then walked in Gray order of their high bits, so
                       each step adds or subtracts one precomputed row
                       in place and reads the per-size extremes with one
-                      segmented reduction.
-                      Worker threads take contiguous Gray ranges, and
-                      results are merged by comparing (value, mask)
-                      explicitly, so the output never depends on the
-                      thread count.
+                      segmented reduction.  One thread walks every
+                      block; Gray order is not mask order, so each
+                      size keeps its best as a (value, mask) key and a
+                      tie keeps the least mask.
 
 Witness ties always resolve to the numerically smallest bit mask, which
 is what makes the strategies comparable.  The brute reference oracles
@@ -47,25 +46,22 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .graphs import Graph, _edge_counts, bit_indices, is_regular
+from .graphs import Graph, _edge_counts, is_regular
 
 # The one profile-scan limit; no call or flag moves it.  A 2^32 scan takes
-# 0.4 s on a regular graph and 1.2 s on an irregular one (two cores); each
-# vertex more doubles that.  Order enumeration stops lower.
+# 0.45 s on a regular graph and 1.7 s on an irregular one (one thread of a
+# 2-vCPU Xeon); each vertex more doubles that.  Order enumeration stops lower.
 SCAN_CEILING = 32
 ORDER_ENUM_CAP = 20
 
+# Read by nothing here: scans run on one thread.  The name is kept only
+# because the benchmark's traced scan probe (perfbench/layers.py) sets it.
 THREADS_ENV = "EDGEISO_THREADS"
-# A 32-vertex scan has 2^14 blocks, one thread each at most; the bound stays
-# above large hosts' CPU counts, as perfbench exports EDGEISO_THREADS=nproc.
-MAX_THREADS = 256
 
 # At most 2^18 low subsets per vectorized block.  Each block step reads
 # and writes three int16 tables of 2^k entries (ind, bnd and one row):
@@ -73,7 +69,7 @@ MAX_THREADS = 256
 # 6 MB and every block step misses that cache.  A regular graph keeps no
 # bnd, so its steps touch two tables, and each of its steps also settles
 # the complement block, so it takes half as many.  The tables are built
-# once per scan, on one thread, grouped by popcount (``_HALF_BITS``).
+# once per scan, grouped by popcount (``_HALF_BITS``).
 _BLOCK_LOW_BITS = 18
 # The low-mask tables are built grouped by popcount from a low half of at
 # most this many bits and a high half of the rest (``_low_tables``), so
@@ -83,25 +79,6 @@ _BLOCK_LOW_BITS = 18
 # take 33 and 99.
 _HALF_BITS = 12
 _GRAY_MAX_N = 9  # auto scans up to here with gray, above with blocks
-
-
-def thread_count() -> int:
-    """Worker threads for block scans: EDGEISO_THREADS if set, else the
-    CPUs this process may run on, at most ``MAX_THREADS``."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count() or 1
-        return min(cpus, MAX_THREADS)
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if not 1 <= value <= MAX_THREADS:
-        raise InputError(f"{THREADS_ENV} must be in 1..{MAX_THREADS}, got {value}")
-    return value
 
 
 class IsoProfile:
@@ -407,9 +384,9 @@ def _scan_blocks(g: Graph, low_bits: int | None = None, degree: int | None = Non
     weights = [[2 * (adj[v] >> u & 1) for u in range(k)] for v in range(k, k + walked)]
     if boundary:
         weights.append(deg[:k])
-    order, ind0, sums, pieces = _low_tables(adj, weights, k)
+    order, ind, sums, pieces = _low_tables(adj, weights, k)
     rows = sums[:walked]
-    bnd0 = sums[walked] - ind0 if boundary else None
+    bnd = sums[walked] - ind if boundary else None
     starts = np.array([segment[0][0] for segment in pieces])
 
     def extreme_mask(table, c: int, top: int, reduce, greatest: bool = False) -> int:
@@ -441,81 +418,54 @@ def _scan_blocks(g: Graph, low_bits: int | None = None, degree: int | None = Non
     low_all = (1 << k) - 1
     high_all = ((1 << hi) - 1) << k
 
-    def scan_range(first: int, stop: int):
-        """Best (-induced, mask) and (boundary, mask) keys per size over
-        the blocks with Gray indices first..stop-1 (and, with ``mirror``,
-        their complement blocks)."""
-        # Sentinels lose to every real key: -induced <= 0, boundary < n*n.
-        best_i = [(1, 0)] * (n + 1)
-        best_t = [(n * n + 1, 0)] * (n + 1)
-        high = first ^ (first >> 1)
-        ind, bnd = ind0, bnd0  # a lone block 0 only reads the shared tables
-        if stop - first > 1 or high:
-            ind = ind0.copy()
-            bnd = bnd0.copy() if boundary else None
-            for j in bit_indices(high):
+    # Blocks are visited in Gray order, not mask order, so ties are settled
+    # by comparing (value, full mask) keys, which keeps the least-mask
+    # witness.  Sentinels lose to every real key: -induced <= 0, boundary
+    # < n*n.
+    best_i = [(1, 0)] * (n + 1)
+    best_t = [(n * n + 1, 0)] * (n + 1)
+    full = ih = dh = 0  # the block's high vertices, their edges and degrees
+    for i in range(1 << walked):
+        if i:
+            j = (i & -i).bit_length() - 1
+            v = k + j
+            full ^= 1 << v
+            gained = (adj[v] & full).bit_count()
+            if full >> v & 1:
                 ind += rows[j]
                 if boundary:
                     bnd -= rows[j]
-        full = high << k
-        ih = sum((adj[v] & full).bit_count() for v in bit_indices(full)) // 2
-        dh = sum(deg[v] for v in bit_indices(full))
-        for i in range(first, stop):
-            if i > first:
-                j = (i & -i).bit_length() - 1
-                v = k + j
-                full ^= 1 << v
-                high ^= 1 << j
-                gained = (adj[v] & full).bit_count()
-                if high >> j & 1:
-                    ind += rows[j]
-                    if boundary:
-                        bnd -= rows[j]
-                    ih += gained
-                    dh += deg[v]
-                else:
-                    ind -= rows[j]
-                    if boundary:
-                        bnd += rows[j]
-                    ih -= gained
-                    dh -= deg[v]
-            pch = high.bit_count()
-            twin_full = full ^ high_all
-            # a tie beats the kept witness only from a lower block
-            for c, top in enumerate(np.maximum.reduceat(ind, starts).tolist()):
-                s = pch + c
-                key = (-(top // 2 + ih), full)
-                if key < best_i[s]:
-                    best_i[s] = (key[0], full | extreme_mask(ind, c, top, np.maximum))
-                if mirror:
-                    twin = (key[0] + degree * s - edge_total, twin_full)
-                    if twin < best_i[n - s]:
-                        last = extreme_mask(ind, c, top, np.maximum, greatest=True)
-                        best_i[n - s] = (twin[0], twin_full | (low_all ^ last))
-            if not boundary:
-                continue
-            for c, low in enumerate(np.minimum.reduceat(bnd, starts).tolist()):
-                key = (low + dh - 2 * ih, full)
-                if key < best_t[pch + c]:
-                    best_t[pch + c] = (key[0], full | extreme_mask(bnd, c, low, np.minimum))
-        return best_i, best_t
+                ih += gained
+                dh += deg[v]
+            else:
+                ind -= rows[j]
+                if boundary:
+                    bnd += rows[j]
+                ih -= gained
+                dh -= deg[v]
+        pch = full.bit_count()
+        twin_full = full ^ high_all
+        # a tie beats the kept witness only from a lower block
+        for c, top in enumerate(np.maximum.reduceat(ind, starts).tolist()):
+            s = pch + c
+            key = (-(top // 2 + ih), full)
+            if key < best_i[s]:
+                best_i[s] = (key[0], full | extreme_mask(ind, c, top, np.maximum))
+            if mirror:
+                twin = (key[0] + degree * s - edge_total, twin_full)
+                if twin < best_i[n - s]:
+                    last = extreme_mask(ind, c, top, np.maximum, greatest=True)
+                    best_i[n - s] = (twin[0], twin_full | (low_all ^ last))
+        if not boundary:
+            continue
+        for c, low in enumerate(np.minimum.reduceat(bnd, starts).tolist()):
+            key = (low + dh - 2 * ih, full)
+            if key < best_t[pch + c]:
+                best_t[pch + c] = (key[0], full | extreme_mask(bnd, c, low, np.minimum))
 
-    blocks = 1 << walked
-    workers = min(thread_count(), blocks)
-    cuts = [w * blocks // workers for w in range(workers + 1)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(scan_range, cuts[:-1], cuts[1:]))
-    else:
-        results = [scan_range(0, blocks)]
-
-    # Blocks are visited in Gray order, so ties are settled by comparing
-    # (value, full mask) keys, which keeps the least-mask witness.
-    best_i = [min(r[0][m] for r in results) for m in range(n + 1)]
     induced, induced_witness = [-v for v, _ in best_i], [w for _, w in best_i]
     if not boundary:
         return induced, None, induced_witness, None
-    best_t = [min(r[1][m] for r in results) for m in range(n + 1)]
     return induced, [v for v, _ in best_t], induced_witness, [w for _, w in best_t]
 
 

@@ -5,8 +5,8 @@ import subprocess
 import sys
 import time
 
-from edgeiso.cli import (EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_INTERNAL,
-                         EXIT_OK, EXIT_USAGE, main)
+from edgeiso.cli import (EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_CLOSED_PIPE,
+                         EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main)
 
 PETERSEN_DELTA_TEXT = "delta: (0,1,1,1,2,1,2,2,2,3)"
 
@@ -308,16 +308,6 @@ def test_scan_ceiling_exit_code(capsys, monkeypatch):
     assert code == EXIT_OK and "--csv" in out and "--cap" not in out
 
 
-def test_thread_bound_exit_code(capsys, monkeypatch):
-    from edgeiso.solver import MAX_THREADS, THREADS_ENV
-
-    forbid_scans(monkeypatch)
-    monkeypatch.setenv(THREADS_ENV, str(MAX_THREADS + 1))
-    code, _, err = run_cli(capsys, "solve", "complete(3)")
-    assert code == EXIT_USAGE
-    assert THREADS_ENV in err
-
-
 def test_internal_error_exit_code(capsys, monkeypatch):
     import edgeiso.solver
 
@@ -365,3 +355,17 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "delta: (0,1,2,3)" in proc.stdout
+
+
+def test_closed_stdout_exits_quietly():
+    # 40320 listed orders, about 645 KB: more than a pipe holds, so the
+    # process is still writing when the reader closes after one line.
+    with subprocess.Popen(
+            [sys.executable, "-m", "edgeiso.cli", "orders", "complete(8)", "--cap", "40320"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert first.startswith("complete(8): 40320 optimal orders")
+    assert (code, err) == (EXIT_CLOSED_PIPE, "")

@@ -17,9 +17,8 @@ from edgeiso.errors import CapacityError, InputError
 from edgeiso.graphs import (boundary_edges, cartesian_power, cartesian_product, complete,
                             cycle, degrees, empty_graph, from_edge_list, graph_union, graph_z,
                             induced_edges, is_regular, named, path, petersen, relabel, star)
-from edgeiso.solver import (MAX_THREADS, SCAN_CEILING, THREADS_ENV, IsoProfile,
-                            enumerate_optimal_orders, has_ns, iso_profile, thread_count,
-                            verify_order)
+from edgeiso.solver import (SCAN_CEILING, THREADS_ENV, IsoProfile, enumerate_optimal_orders,
+                            has_ns, iso_profile, verify_order)
 
 PETERSEN_INDUCED = (0, 0, 1, 2, 3, 5, 6, 8, 10, 12, 15)
 PETERSEN_BOUNDARY = (0, 3, 4, 5, 6, 5, 6, 5, 4, 3, 0)
@@ -71,16 +70,13 @@ def test_strategies_bit_identical():
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_blocks_match_brute_oracles(data):
-    # Uneven Gray ranges per worker and every block width, down to one low bit.
+    # Every block width, down to one low bit.
     n = data.draw(st.integers(1, 10))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = [pair for pair, kept in zip(pairs, keep) if kept]
     low_bits = data.draw(st.integers(1, n))
-    threads = data.draw(st.sampled_from(["1", "2", "3"]))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv(THREADS_ENV, threads)
-        prof = iso_profile(from_edge_list(n, edges), strategy="blocks", low_bits=low_bits)
+    prof = iso_profile(from_edge_list(n, edges), strategy="blocks", low_bits=low_bits)
     assert (list(prof.induced), list(prof.boundary)) == brute_tables(n, edges)
     assert (list(prof.induced_witness), list(prof.boundary_witness)) == brute_witnesses(n, edges)
 
@@ -88,10 +84,9 @@ def test_blocks_match_brute_oracles(data):
 @pytest.mark.parametrize("g", [cartesian_power(complete(2), 4),
                                cartesian_product(complete(3), complete(3))],
                          ids=["complete(2)^4", "complete(3)xcomplete(3)"])
-def test_blocks_tie_heavy_graphs_equal_gray(g, monkeypatch):
+def test_blocks_tie_heavy_graphs_equal_gray(g):
     # Vertex-transitive graphs tie at every size in many blocks, so the
     # least-mask rule decides almost every witness.
-    monkeypatch.setenv(THREADS_ENV, "3")
     blocks = iso_profile(g, strategy="blocks", low_bits=2)
     assert profile_tuple(blocks) == profile_tuple(iso_profile(g, strategy="gray"))
 
@@ -170,58 +165,39 @@ def test_block_low_bits_validation():
 
 
 # ------------------------------------------------------------
-# Threading
+# One walker over every block
 # ------------------------------------------------------------
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "3")
-    assert thread_count() == 3
-    monkeypatch.setenv(THREADS_ENV, "zero")
-    with pytest.raises(InputError):
-        thread_count()
-    monkeypatch.setenv(THREADS_ENV, str(MAX_THREADS))
-    assert thread_count() == MAX_THREADS
-    for bad in ("0", str(MAX_THREADS + 1), "16384"):
-        monkeypatch.setenv(THREADS_ENV, bad)
-        with pytest.raises(InputError):
-            thread_count()
+def test_multi_block_scan_starts_no_thread(monkeypatch):
+    import threading
 
+    def refuse(self):
+        raise AssertionError("the block scan started a thread")
 
-def test_thread_count_default_follows_affinity(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
-    assert thread_count() == 3
-    # a host past MAX_THREADS CPUs gets the documented bound; no scan runs
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)))
-    assert thread_count() == MAX_THREADS
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert thread_count() == 8
-    monkeypatch.setattr(os, "cpu_count", lambda: 1000)
-    assert thread_count() == MAX_THREADS
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert thread_count() == 1
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    g = cartesian_product(path(4), path(5))  # 20 vertices: 4 full-width blocks
+    assert not is_regular(g)[0]
+    prof = iso_profile(g, strategy="blocks")  # witnesses recounted on the way out
+    assert prof.induced[g.n] == g.edge_count()
 
 
 def test_thread_count_does_not_change_output(monkeypatch):
+    # EDGEISO_THREADS is read by nothing: a stale value, even one that is
+    # not a count, neither changes a scan nor stops it.
     g = random_graph(random.Random(25), 14)
-    outcomes = []
-    for workers in ("1", "4", "13"):
+    gray = profile_tuple(iso_profile(g, strategy="gray"))
+    for workers in ("1", "4", "13", "zero"):
         monkeypatch.setenv(THREADS_ENV, workers)
-        outcomes.append(profile_tuple(iso_profile(g, strategy="blocks", low_bits=8)))
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert profile_tuple(iso_profile(g, strategy="blocks", low_bits=8)) == gray, workers
 
 
-def test_production_width_blocks_equal_gray(monkeypatch):
-    # One vertex past the default block width: two full-width blocks,
-    # split across workers or walked by one.
+def test_production_width_blocks_equal_gray():
+    # One vertex past the default block width: two full-width blocks.
     import edgeiso.solver as solver
     g = random_graph(random.Random(26), solver._BLOCK_LOW_BITS + 1)
     assert len(set(degrees(g))) > 1
     gray = profile_tuple(iso_profile(g, strategy="gray"))
-    for workers in ("1", "3"):
-        monkeypatch.setenv(THREADS_ENV, workers)
-        assert profile_tuple(iso_profile(g, strategy="blocks")) == gray, workers
+    assert profile_tuple(iso_profile(g, strategy="blocks")) == gray
 
 
 @pytest.mark.parametrize("g, digest", [
@@ -230,14 +206,12 @@ def test_production_width_blocks_equal_gray(monkeypatch):
     (named("product(path(4),path(6))"),
      "65ec143b1607c89a812688312cafcc254555a13bdd3c02e71f3c8fd03acf8c07"),
 ], ids=["complete(3)^3", "path(4) x path(6)"])
-def test_production_width_profiles_pinned(g, digest, monkeypatch):
+def test_production_width_profiles_pinned(g, digest):
     # The full-width 2^27 mirrored walk of a regular graph, and the
     # two-table walk of an irregular one over 64 blocks, pinned to the
     # digests of their tables and witnesses.
-    for workers in ("1", "3"):
-        monkeypatch.setenv(THREADS_ENV, workers)
-        text = json.dumps(iso_profile(g).to_dict(), sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest, workers
+    text = json.dumps(iso_profile(g).to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def bit_matrix(masks, k):
@@ -317,17 +291,14 @@ def test_regular_graphs_match_brute_oracles(g, data):
     assert is_regular(g)[0]
     strategy = data.draw(st.sampled_from(["auto", "gray", "blocks"]))
     low_bits = data.draw(st.integers(1, g.n))
-    threads = data.draw(st.sampled_from(["1", "2", "3"]))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv(THREADS_ENV, threads)
-        prof = iso_profile(g, strategy=strategy, low_bits=low_bits)
+    prof = iso_profile(g, strategy=strategy, low_bits=low_bits)
     edges = g.edges()
     assert (list(prof.induced), list(prof.boundary)) == brute_tables(g.n, edges)
     assert (list(prof.induced_witness),
             list(prof.boundary_witness)) == brute_witnesses(g.n, edges)
 
 
-def test_production_width_regular_equals_two_table_scan(monkeypatch):
+def test_production_width_regular_equals_two_table_scan():
     # 20 and 24 vertices: 4 and 64 full-width blocks, of which the regular
     # scan walks 2 and 32.  The two-table scan is the irregular path, so
     # it is the oracle for the derived rows and the mirrored blocks.
@@ -335,10 +306,8 @@ def test_production_width_regular_equals_two_table_scan(monkeypatch):
     for g, r in ((cartesian_product(petersen(), complete(2)), 4),
                  (cartesian_product(complete(4), cycle(6)), 5)):
         assert is_regular(g) == (True, r)
-        for workers in ("1", "3"):
-            monkeypatch.setenv(THREADS_ENV, workers)
-            full = solver._scan_blocks(g)
-            assert profile_tuple(iso_profile(g)) == tuple(tuple(t) for t in full), workers
+        full = solver._scan_blocks(g)
+        assert profile_tuple(iso_profile(g)) == tuple(tuple(t) for t in full)
 
 
 @st.composite
@@ -371,10 +340,7 @@ def test_mirrored_block_walk_matches_brute_oracles(g, data):
     # and every walked block answers for a complement block.
     assert is_regular(g)[0]
     low_bits = data.draw(st.integers(1, g.n - 1))
-    threads = data.draw(st.integers(1, 4))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv(THREADS_ENV, str(threads))
-        prof = iso_profile(g, strategy="blocks", low_bits=low_bits)
+    prof = iso_profile(g, strategy="blocks", low_bits=low_bits)
     edges = g.edges()
     assert (list(prof.induced), list(prof.boundary)) == brute_tables(g.n, edges)
     assert (list(prof.induced_witness),
@@ -397,10 +363,8 @@ def test_split_popcount_layout_matches_brute_oracles(data):
         g = from_edge_list(n, [pair for pair, kept in zip(pairs, keep) if kept])
     low_bits = data.draw(st.integers(1, g.n))
     half = data.draw(st.integers(1, low_bits))
-    threads = data.draw(st.integers(1, 3))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_HALF_BITS", half)
-        mp.setenv(THREADS_ENV, str(threads))
         prof = iso_profile(g, strategy="blocks", low_bits=low_bits)
     edges = g.edges()
     assert (list(prof.induced), list(prof.boundary)) == brute_tables(g.n, edges)
@@ -435,31 +399,29 @@ def test_mirrored_witness_is_the_greatest_maximizer_of_all_pieces(half, monkeypa
     (star(10), 4, 16),
 ], ids=["complete(10)", "cycle(4) x cycle(3)", "empty(8)", "irregular star(10)"])
 def test_regular_block_scan_walks_half_the_blocks(g, high, steps, monkeypatch):
-    # One worker per block, so the workers' ranges are the Gray indices
-    # walked: a regular scan with h high vertices takes 2^(h-1) block
-    # steps, an irregular one 2^h.
+    # Each walked block reads its per-size maxima with one
+    # np.maximum.reduceat over its whole low table, so those calls count
+    # the blocks: a regular scan with h high vertices walks 2^(h-1)
+    # blocks, an irregular one 2^h.
+    import types
+
     import edgeiso.solver as solver
-    ranges = []
+    reductions = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            pass
+    def reduceat(table, indices):
+        reductions.append(len(table))
+        return np.maximum.reduceat(table, indices)
 
-        def __enter__(self):
-            return self
+    class CountingNumpy:
+        maximum = types.SimpleNamespace(reduceat=reduceat)
 
-        def __exit__(self, *exc):
-            return False
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-        def map(self, fn, firsts, stops):
-            walked = list(zip(firsts, stops))
-            ranges.extend(walked)
-            return [fn(first, stop) for first, stop in walked]
-
-    monkeypatch.setattr(solver, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setenv(THREADS_ENV, str(MAX_THREADS))
+    monkeypatch.setattr(solver, "np", CountingNumpy())
     prof = iso_profile(g, strategy="blocks", low_bits=g.n - high)
-    assert ranges == [(i, i + 1) for i in range(steps)]
+    monkeypatch.undo()
+    assert reductions.count(1 << (g.n - high)) == steps
     assert profile_tuple(prof) == profile_tuple(iso_profile(g, strategy="gray"))
 
 

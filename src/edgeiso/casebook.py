@@ -134,21 +134,65 @@ def _check_regular_identity() -> tuple[bool, dict]:
         g = _random_regular(rng)
         if g is not None:
             graphs.append(g)
+    # getrandbits(n) is the top n bits of one word for n <= 32
+    words = _words(rng, 1000 * len(graphs)).reshape(len(graphs), 1000).astype(np.int64)
     checked = 0
-    for g in graphs:
+    for g, row in zip(graphs, words):
         reg, r = graphs_mod.is_regular(g)
         if not reg:
             return False, {"error": f"{g.display_name()} is not regular"}
-        masks = [rng.getrandbits(g.n) for _ in range(1000)]
-        member = (np.array(masks)[:, None] >> np.arange(g.n) & 1).astype(bool)
+        masks = row >> (32 - g.n)
+        member = (masks[:, None] >> np.arange(g.n) & 1).astype(bool)
         induced = graphs_mod._edge_counts_many(g, member)
         # the boundary is counted edge by edge, apart from the induced kernel
         lhs = _crossing_counts(g, member) + 2 * induced
         bad = np.flatnonzero(lhs != r * member.sum(axis=1))
         if bad.size:
-            return False, {"graph": g.display_name(), "mask": hex(masks[bad[0]])}
+            return False, {"graph": g.display_name(), "mask": hex(int(masks[bad[0]]))}
         checked += len(masks)
     return True, {"graphs": len(graphs), "subsets": checked}
+
+
+def _words(rng: random.Random, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit outputs of ``rng``'s Mersenne Twister,
+    in order, leaving ``rng`` where ``count`` calls of
+    ``rng.getrandbits(32)`` would.
+
+    CPython's ``getrandbits(32 * count)`` fills its result from the
+    least significant word up, one twister output per word, so its
+    little-endian bytes are those outputs in draw order.  Python does
+    not document this; ``test_bulk_draws_replay_scalar_calls`` in
+    tests/test_casebook.py pins it.
+    """
+    return np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), "<u4")
+
+
+def _randints(rng: random.Random, hi: int, count: int) -> np.ndarray:
+    """Exactly what ``count`` calls of ``rng.randint(0, hi)`` return,
+    as int64, leaving ``rng`` in the same state those calls would.
+
+    CPython's ``randint(0, hi)`` is ``_randbelow(hi + 1)``: it takes
+    ``getrandbits(k)`` for k = (hi + 1).bit_length(), the top k bits of
+    one twister output when k <= 32, and draws again while that exceeds
+    ``hi``.  So each value is the top k bits of one word of ``_words``,
+    kept if it is at most ``hi``.  The words are overdrawn, then the
+    state is rewound and advanced by exactly the words used.
+    ``test_bulk_draws_replay_scalar_calls`` pins this mapping.
+    """
+    k = (hi + 1).bit_length()
+    if hi < 0 or k > 32:
+        raise ValueError(f"hi = {hi} needs one 32-bit word per draw")
+    state = rng.getstate()
+    tops = np.empty(0, dtype=np.int64)
+    kept = tops
+    while len(kept) < count:
+        # each word is kept with probability (hi + 1) / 2^k >= 1/2
+        more = _words(rng, 2 * (count - len(kept)) + 32) >> (32 - k)
+        tops = np.concatenate([tops, more.astype(np.int64)])
+        kept = np.flatnonzero(tops <= hi)
+    rng.setstate(state)
+    rng.getrandbits(32 * (int(kept[count - 1]) + 1 if count else 0))
+    return tops[kept[:count]]
 
 
 def _crossing_counts(g, member) -> np.ndarray:
@@ -238,13 +282,17 @@ def _all_diagrams(nh: int, ng: int) -> np.ndarray:
 
 def _check_diagram_weight() -> tuple[bool, dict]:
     factors = list(_diagram_factors())
+    boxes = {}
     checked = 0
     for h_graph in factors:
         dh = delta_mod.delta_of(solver_mod.iso_profile(h_graph))
         for g_graph in factors:
             dg = delta_mod.delta_of(solver_mod.iso_profile(g_graph))
             product = graphs_mod.cartesian_product(h_graph, g_graph)
-            heights = _all_diagrams(h_graph.n, g_graph.n)
+            box = (h_graph.n, g_graph.n)
+            if box not in boxes:
+                boxes[box] = _all_diagrams(*box)
+            heights = boxes[box]
             bad = _first_weight_mismatch(product, dh, dg, heights)
             if bad is not None:
                 return False, {"factors": (h_graph.display_name(), g_graph.display_name()),
@@ -254,8 +302,8 @@ def _check_diagram_weight() -> tuple[bool, dict]:
     for big in (graphs_mod.petersen(), graphs_mod.graph_z(2)):
         form, d = delta_mod.nested_solution_form(big)
         product = graphs_mod.cartesian_product(form, form)
-        heights = np.array([sorted((rng.randint(0, big.n) for _ in range(big.n)), reverse=True)
-                            for _ in range(1000)])
+        draws = _randints(rng, big.n, 1000 * big.n).reshape(1000, big.n).tolist()
+        heights = np.array([sorted(row, reverse=True) for row in draws])
         bad = _first_weight_mismatch(product, d, d, heights)
         if bad is not None:
             return False, {"factors": big.display_name(), "heights": heights[bad].tolist()}

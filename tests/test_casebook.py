@@ -8,6 +8,7 @@ casebook that cannot fail is not evidence of anything.
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import edgeiso.casebook
@@ -133,6 +134,63 @@ def test_brute_force_claims_check_every_subset_and_diagram():
     results = {r.id: r for r in run_casebook(["regular-identity", "diagram-weight-formula"])}
     assert results["regular-identity"].artifacts == {"graphs": 54, "subsets": 54000}
     assert results["diagram-weight-formula"].artifacts == {"diagrams_checked": 15574}
+
+
+def test_bulk_draws_replay_scalar_calls():
+    # _words and _randints stand for scalar random.Random calls, values
+    # and state both; one pair of generators per seed carries the state
+    # from each draw into the next
+    for seed in range(30):
+        bulk, scalar = random.Random(seed), random.Random(seed)
+        for count in (0, 1, 5, 300):
+            got = edgeiso.casebook._words(bulk, count)
+            assert got.tolist() == [scalar.getrandbits(32) for _ in range(count)]
+            assert bulk.getstate() == scalar.getstate()
+            for hi in (0, 1, 2, 3, 7, 8, 10, 15, 16, 17, 31):
+                got = edgeiso.casebook._randints(bulk, hi, count)
+                assert got.dtype == np.int64
+                assert got.tolist() == [scalar.randint(0, hi) for _ in range(count)]
+                assert bulk.getstate() == scalar.getstate()
+
+
+def test_seeded_claims_draw_the_scalar_inputs(monkeypatch):
+    # the subsets and staircases the two seeded claims check are the ones
+    # scalar draws give, as in test_acceptance criteria 4 and 6
+    members, staircases = [], []
+    real_counts = edgeiso.graphs._edge_counts_many
+    real_mismatch = edgeiso.casebook._first_weight_mismatch
+
+    def record_members(g, member):
+        members.append((g, member.copy()))
+        return real_counts(g, member)
+
+    def record_heights(product, dh, dg, heights):
+        staircases.append(heights.copy())
+        return real_mismatch(product, dh, dg, heights)
+
+    monkeypatch.setattr(edgeiso.graphs, "_edge_counts_many", record_members)
+    monkeypatch.setattr(edgeiso.casebook, "_first_weight_mismatch", record_heights)
+    results = run_casebook(["regular-identity", "diagram-weight-formula"])
+    assert [r.status for r in results] == ["pass", "pass"]
+
+    rng = random.Random(41)
+    graphs = list(edgeiso.casebook._regular_corpus())
+    while len(graphs) < 54:
+        g = edgeiso.casebook._random_regular(rng)
+        if g is not None:
+            graphs.append(g)
+    for g, (seen, member) in zip(graphs, members[:54], strict=True):
+        assert seen.edges() == g.edges()
+        masks = [rng.getrandbits(g.n) for _ in range(1000)]
+        assert member.tolist() == [[bool(m >> v & 1) for v in range(g.n)] for m in masks]
+
+    # Petersen squared, then Z(2) squared, after the 225 factor boxes
+    assert len(staircases) == 227
+    rng = random.Random(17)
+    for n, heights in zip((10, 17), staircases[-2:]):
+        assert heights.dtype == np.int64
+        assert heights.tolist() == [
+            sorted((rng.randint(0, n) for _ in range(n)), reverse=True) for _ in range(1000)]
 
 
 def test_regular_identity_detects_a_consistent_miscount(monkeypatch):

@@ -42,9 +42,6 @@ def cmd_delta(args) -> int:
     prof = solver_mod.iso_profile(g)
     search = solver_mod.has_ns(g, prof)
     d = delta_mod.delta_of(prof, ns_order=search.order)
-    seg = delta_mod.segments_of(d)
-    dense = delta_mod.is_delta_dense(d)
-    sym = delta_mod.is_symmetric(d)
     verdict = delta_mod.regularity_crosscheck(g, d)
     payload = d.to_dict()
     payload["regular"] = verdict.regular
@@ -53,8 +50,9 @@ def cmd_delta(args) -> int:
     lines = [
         f"graph: {g.display_name()}  (n={g.n}, edges={g.edge_count()})",
         f"delta: {d}",
-        f"segments: {seg.count}  starts: {tuple(seg.starts)}",
-        f"delta-dense: {dense.ok}   symmetric: {sym.ok}   regular: {verdict.regular}",
+        f"segments: {len(payload['segments'])}  starts: {tuple(payload['starts'])}",
+        f"delta-dense: {payload['delta_dense']}   symmetric: {payload['symmetric']}   "
+        f"regular: {verdict.regular}",
         f"nested solutions: {'yes' if search.order is not None else 'no'}",
     ]
     if not search.order:
@@ -119,25 +117,29 @@ def cmd_uniqueness(args) -> int:
     prof = solver_mod.iso_profile(g)
     d = delta_mod.delta_of(prof)
     dense = delta_mod.is_delta_dense(d)
+    listed, limit = args.chains_listed, args.count_limit
+    if dense.ok:
+        # the verdict classifies two chains and counts past two, whatever is listed
+        listed, limit = max(listed, 2), max(limit, 3)
     survey = compress_mod.enumerate_compressed_optimal_orders(
-        g, cap=args.chains_listed, profile=prof, count_limit=args.count_limit)
+        g, cap=listed, profile=prof, count_limit=limit)
     payload = {
         "graph": g.display_name(),
         "delta_dense": dense.ok,
         "total_chains": survey.total,
         "count_exact": survey.exact,
-        "classifications": list(survey.classifications),
+        "classifications": list(survey.classifications[:args.chains_listed]),
     }
+    count_txt = f"{survey.total}" if survey.exact else f">= {survey.total}"
     if dense.ok:
         unique = (survey.exact and survey.total == 2
                   and sorted(survey.classifications) == ["colex", "lex"])
         payload["exactly_lex_and_colex"] = unique
-        human = (f"{g.display_name()} squared: {survey.total} compressed optimal orders; "
+        human = (f"{g.display_name()} squared: {count_txt} compressed optimal orders; "
                  f"exactly lex and colex: {unique}")
         _emit(args, payload, human)
         return EXIT_OK if unique else EXIT_CHECK_FAILED
     payload["exploratory"] = True
-    count_txt = f"{survey.total}" if survey.exact else f">= {survey.total}"
     human = (f"{g.display_name()} is not delta-dense; exploratory listing only\n"
              f"compressed optimal orders: {count_txt}; "
              f"kinds seen: {sorted(set(survey.classifications))}")
@@ -197,6 +199,17 @@ def cmd_casebook(args) -> int:
     return EXIT_CHECK_FAILED if tally["fail"] else EXIT_OK
 
 
+def _at_least(floor: int):
+    """An argparse type: an int no less than ``floor``, else a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its invalid-value message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgeiso",
@@ -222,13 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("orders", cmd_orders, "enumerate optimal orders")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=10, dest="listed", help="how many orders to list")
+    p.add_argument("--cap", type=_at_least(0), default=10, dest="listed",
+                   help="how many orders to list")
 
     p = add("uniqueness", cmd_uniqueness, "compressed optimal orders of the square")
     p.add_argument("graph")
-    p.add_argument("--cap-chains", type=int, default=10, dest="chains_listed",
+    p.add_argument("--cap-chains", type=_at_least(0), default=10, dest="chains_listed",
                    help="how many chains to list")
-    p.add_argument("--count-limit", type=int, default=10_000, dest="count_limit",
+    p.add_argument("--count-limit", type=_at_least(1), default=10_000, dest="count_limit",
                    help="stop counting chains past this many")
 
     p = add("lex2", cmd_lex2, "is the lex chain optimal at every size of g squared")

@@ -485,7 +485,8 @@ class _PrefixDag:
     """The DAG of prefixes that hit the optimum at every size, walked by
     the nested-solution search, order listing and chain surveys.  Only
     chain surveys call ``count``: vertex orders are counted by
-    ``_layered_count``, which hands its dead sets to ``memo``.
+    ``_layered_count``.  ``paths`` writes 0 to ``memo`` for each state
+    it leaves without a completion, so it never enters that state again.
 
     A state is the minimal key of a prefix, an int: a vertex mask, or a
     diagram's boundary path, whose bit n_g + x - h_x marks column x of
@@ -582,18 +583,12 @@ def _vertex_moves(g: Graph, target, by_boundary: bool = False):
 
 # A layer step expands at most this many sets at once, which bounds its
 # temporaries however wide the layer: counting complete(20), whose widest
-# layer holds 184,756 sets, peaks near 52 MB of numpy memory, layers included.
+# layer holds 184,756 sets, peaks near 45 MiB of numpy memory (tracemalloc).
 _LAYER_CHUNK = 1 << 14
 # Added to a vertex's edge count once it joins the set: the entry then
 # gains at most n - 1 <= 19 in all, so it stays negative (and within
 # int8) and never equals a step.
 _MEMBER = -64
-
-
-def _bit_matrix(masks: np.ndarray, n: int) -> np.ndarray:
-    """(len(masks) x n) uint8 matrix of the masks' bits, column v for vertex v."""
-    raw = masks.astype("<i8").view(np.uint8).reshape(-1, 8)
-    return np.unpackbits(raw, axis=1, bitorder="little")[:, :n]
 
 
 def _dedupe_moves(children, counts, parents, vertices):
@@ -610,19 +605,16 @@ def _dedupe_moves(children, counts, parents, vertices):
             parents[rep], vertices[rep])
 
 
-def _layered_count(g: Graph, target) -> tuple[int, np.ndarray]:
-    """(number of vertex orders whose every prefix hits ``target``, the
-    dead sets), counted one layer of optimal sets at a time.
+def _layered_count(g: Graph, target) -> int:
+    """Number of vertex orders whose every prefix hits ``target``,
+    counted one layer of optimal sets at a time.
 
     Layer k is the sorted array of k-sets reachable from the empty set
     through optimal prefixes.  Every reachable set hits the optimum, so
     a reachable k-set and a reachable (k+1)-set containing it are always
-    joined by a move.  The forward pass builds layer k + 1 from one
-    vectorized step over layer k and one dedupe, summing path counts.
-    The backward pass finds the dead sets, the reachable sets with no
-    completion: a set is dead when every move out of it reaches a dead
-    set, counted against its out-degree from the forward pass.  Only the
-    layers and out-degrees are kept between the passes.
+    joined by a move.  Layer k + 1 comes from one vectorized step over
+    layer k and one dedupe, summing path counts; only the current layer
+    is kept.
     """
     n = g.n
     adj = np.array([[row >> u & 1 for u in range(n)] for row in g.adj], dtype=np.int8)
@@ -634,11 +626,8 @@ def _layered_count(g: Graph, target) -> tuple[int, np.ndarray]:
     # paths[i] counts the optimal prefixes ending in sets[i]: at most
     # k! <= 20! < 2^63 under ORDER_ENUM_CAP, so int64 sums stay exact.
     paths = np.ones(1, dtype=np.int64)
-    layers, outdeg = [], []
     for k in range(n):
         hit = into == target[k + 1] - target[k]
-        layers.append(sets)
-        outdeg.append(hit.sum(axis=1))
         moves = (sets[:0], paths[:0], sets[:0], sets[:0])
         for lo in range(0, len(sets), _LAYER_CHUNK):
             # vertex-major, so each vertex's children come out sorted; a
@@ -651,25 +640,7 @@ def _layered_count(g: Graph, target) -> tuple[int, np.ndarray]:
             moves = _dedupe_moves(*found)
         sets, paths, parent, vertex = moves
         into = into[parent] + joined[vertex]
-    total = int(paths.sum())  # the full set's count, or 0 if no prefix reached it
-
-    # A layer past the last reachable one is empty, so the deepest
-    # reachable layer has no moves and is all dead.
-    dead = []
-    gone = sets[:0]  # dead sets of the layer above; the full set is live
-    for k in range(n - 1, -1, -1):
-        sets = layers[k]
-        dead_children = np.zeros(len(sets), dtype=np.int64)
-        for lo in range(0, len(gone), _LAYER_CHUNK):
-            chunk = gone[lo:lo + _LAYER_CHUNK]
-            rows, cols = _bit_matrix(chunk, n).nonzero()
-            parents = chunk[rows] - bits[cols]
-            pos = sets.searchsorted(parents)
-            pos = pos[sets[np.minimum(pos, len(sets) - 1)] == parents]
-            dead_children += np.bincount(pos, minlength=len(sets))
-        gone = sets[dead_children == outdeg[k]]
-        dead.append(gone)
-    return total, np.concatenate(dead)
+    return int(paths.sum())  # the full set's count, or 0 if no prefix reached it
 
 
 def has_ns(g: Graph, profile: IsoProfile | None = None, side: str = "induced") -> NsSearch:
@@ -716,15 +687,16 @@ def enumerate_optimal_orders(g: Graph, cap: int = 10,
 
     ``_layered_count`` counts them one layer of optimal k-sets at a time,
     summing int64 path counts, which stay exact: a count at layer k is
-    at most k! <= 20! < 2^63 under ``ORDER_ENUM_CAP``.  Its dead sets
-    become 0 entries of the prefix DAG's memo, so listing the first
-    ``cap`` orders never enters a set without a completion.
+    at most k! <= 20! < 2^63 under ``ORDER_ENUM_CAP``.  A total of 0
+    lists nothing; otherwise the prefix DAG lists the first ``cap``
+    orders, marking the dead sets it meets on the way.
     """
     if g.n > ORDER_ENUM_CAP:
         raise CapacityError(
             f"order enumeration on {g.n} vertices exceeds the {ORDER_ENUM_CAP}-vertex cap")
     prof = profile or iso_profile(g)
-    total, dead = _layered_count(g, prof.induced)
+    total = _layered_count(g, prof.induced)
+    if not total:
+        return [], 0
     dag = _PrefixDag(g.n, 0, _vertex_moves(g, prof.induced))
-    dag.memo.update(dict.fromkeys(dead.tolist(), 0))
     return [OptimalOrder(order) for order in dag.paths(cap)], total

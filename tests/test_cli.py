@@ -5,6 +5,9 @@ import subprocess
 import sys
 import time
 
+import pytest
+
+from edgeiso import compress
 from edgeiso.cli import (EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_CLOSED_PIPE,
                          EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main)
 
@@ -142,6 +145,48 @@ def test_uniqueness_json(capsys):
     assert payload["delta_dense"] is True
     assert payload["total_chains"] == 2
     assert payload["exactly_lex_and_colex"] is True
+
+
+@pytest.mark.parametrize("listed", ["0", "1"])
+def test_uniqueness_verdict_ignores_chain_cap(capsys, listed):
+    # the verdict classifies two chains however few are listed
+    code, out, _ = run_cli(capsys, "uniqueness", "complete(3)", "--cap-chains", listed)
+    assert code == EXIT_OK
+    assert out == "complete(3) squared: 2 compressed optimal orders; exactly lex and colex: True\n"
+    code, payload, _ = run_json(capsys, "uniqueness", "complete(3)", "--cap-chains", listed,
+                                "--json")
+    assert payload["exactly_lex_and_colex"] is True
+    assert len(payload["classifications"]) == int(listed)
+
+
+@pytest.mark.parametrize("limit", ["1", "2"])
+def test_uniqueness_verdict_ignores_count_limit(capsys, limit):
+    # the verdict counts past two however low the limit
+    code, out, _ = run_cli(capsys, "uniqueness", "z(2)", "--count-limit", limit)
+    assert code == EXIT_OK
+    assert out == "Z(2) squared: 2 compressed optimal orders; exactly lex and colex: True\n"
+
+
+def test_uniqueness_dense_inexact_count_is_a_bound(capsys, monkeypatch):
+    # no small delta-dense graph has three chains, so the survey is stubbed
+    def survey(g, cap, profile, count_limit):
+        return compress.ChainSurvey((), count_limit, False, ("lex", "colex", "other")[:cap])
+
+    monkeypatch.setattr(compress, "enumerate_compressed_optimal_orders", survey)
+    code, out, _ = run_cli(capsys, "uniqueness", "complete(3)", "--count-limit", "5")
+    assert code == EXIT_CHECK_FAILED
+    assert out.startswith("complete(3) squared: >= 5 compressed optimal orders;")
+
+
+@pytest.mark.parametrize("argv", [
+    ("orders", "complete(4)", "--cap", "-1"),
+    ("uniqueness", "z(2)", "--cap-chains", "-1"),
+    ("uniqueness", "z(2)", "--count-limit", "0"),
+])
+def test_nonsense_counts_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and f"argument {argv[2]}: must be at least" in err
 
 
 def test_lex2_pass_and_fail(capsys):

@@ -40,6 +40,11 @@ NO_NS_GRAPHS = [
 
 PETERSEN = (10, petersen().edges())
 
+# K8 less the edges 01 and 02 has optimal orders, yet the depth-first
+# walk leaves 32 dead prefixes, some of six vertices, before its first.
+K8_LESS_TWO = (8, [(u, v) for u in range(8) for v in range(u + 1, 8)
+                   if (u, v) not in ((0, 1), (0, 2))])
+
 
 @st.composite
 def small_graphs(draw, max_n=7):
@@ -58,6 +63,7 @@ def delta_sequences(max_len):
 @given(small_graphs(), st.integers(0, 12))
 @example(NO_NS_GRAPHS[0], 3)
 @example(NO_NS_GRAPHS[1], 3)
+@example(K8_LESS_TWO, 12)
 def test_orders_match_permutation_filter(graph, cap):
     n, edges = graph
     g = from_edge_list(n, edges)
@@ -74,15 +80,12 @@ def test_orders_match_permutation_filter(graph, cap):
 @example(NO_NS_GRAPHS[1])
 @example(PETERSEN)
 def test_layered_count_matches_depth_first_count(graph):
-    # the depth-first count over vertex masks is the oracle: its memo
-    # holds every reachable set, 0 for exactly the dead ones
+    # the depth-first count over vertex masks is the oracle
     n, edges = graph
     g = from_edge_list(n, edges)
     prof = iso_profile(g)
-    total, dead = _layered_count(g, prof.induced)
     dag = _PrefixDag(n, 0, _vertex_moves(g, prof.induced))
-    assert total == dag.count()
-    assert sorted(dead.tolist()) == sorted(s for s, c in dag.memo.items() if c == 0)
+    assert _layered_count(g, prof.induced) == dag.count()
 
 
 @PROPERTY

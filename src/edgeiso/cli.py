@@ -132,8 +132,7 @@ def cmd_uniqueness(args) -> int:
     }
     count_txt = f"{survey.total}" if survey.exact else f">= {survey.total}"
     if dense.ok:
-        unique = (survey.exact and survey.total == 2
-                  and sorted(survey.classifications) == ["colex", "lex"])
+        unique = survey.exactly_lex_and_colex
         payload["exactly_lex_and_colex"] = unique
         human = (f"{g.display_name()} squared: {count_txt} compressed optimal orders; "
                  f"exactly lex and colex: {unique}")

@@ -106,14 +106,6 @@ class Diagram:
     def serialize(self) -> str:
         return ",".join(map(str, self.heights))
 
-    @classmethod
-    def parse(cls, text: str, box: tuple[int, int]) -> "Diagram":
-        try:
-            heights = [int(part) for part in text.split(",")]
-        except ValueError:
-            raise InputError(f"bad diagram serialization {text!r}")
-        return cls(heights, box)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Diagram) and (self.heights, self.box) == (other.heights, other.box)
 
@@ -257,38 +249,6 @@ class DiagramOptimizer:
 # Chains of diagrams (compressed vertex orders)
 # ============================================================
 
-class CompressedChain:
-    """A full chain of diagrams adding one cell at a time."""
-
-    __slots__ = ("cells", "box")
-
-    def __init__(self, cells, box: tuple[int, int]):
-        self.cells = tuple(cells)
-        self.box = box
-        if len(self.cells) != box[0] * box[1]:
-            raise InputError("chain must place every cell of the box")
-
-    def diagram(self, m: int) -> Diagram:
-        nh, ng = self.box
-        heights = [0] * nh
-        for x, _ in self.cells[:m]:
-            heights[x] += 1
-        return Diagram(heights, self.box)
-
-    def classify(self) -> str:
-        if self.cells == _lex_cells(*self.box):
-            return "lex"
-        if self.cells == _colex_cells(*self.box):
-            return "colex"
-        return "other"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CompressedChain) and (self.cells, self.box) == (other.cells, other.box)
-
-    def __repr__(self) -> str:
-        return f"CompressedChain({self.classify()}, box={self.box})"
-
-
 @functools.cache
 def _lex_cells(nh: int, ng: int) -> tuple[tuple[int, int], ...]:
     """Every cell of the box in lex order: column 0 bottom to top, then column 1, ..."""
@@ -301,20 +261,29 @@ def _colex_cells(nh: int, ng: int) -> tuple[tuple[int, int], ...]:
     return tuple((x, y) for y in range(ng) for x in range(nh))
 
 
-def lex_chain(nh: int, ng: int) -> CompressedChain:
-    return CompressedChain(_lex_cells(nh, ng), (nh, ng))
-
-
-def colex_chain(nh: int, ng: int) -> CompressedChain:
-    return CompressedChain(_colex_cells(nh, ng), (nh, ng))
+def _classify_chain(cells, box: tuple[int, int]) -> str:
+    """Which order a chain's (x, y) cells follow: "lex", "colex" or "other"."""
+    if cells == _lex_cells(*box):
+        return "lex"
+    if cells == _colex_cells(*box):
+        return "colex"
+    return "other"
 
 
 class ChainSurvey(NamedTuple):
-    """Outcome of enumerating optimal diagram chains."""
-    chains: tuple[CompressedChain, ...]
+    """Outcome of enumerating optimal diagram chains; each listed chain
+    is its tuple of (x, y) cells in the order they are added."""
+    chains: tuple[tuple[tuple[int, int], ...], ...]
     total: int
     exact: bool  # False when the count stopped at the count limit
     classifications: tuple[str, ...]
+
+    @property
+    def exactly_lex_and_colex(self) -> bool:
+        """Are lex and colex the only optimal chains?  Decided only by a
+        survey that lists at least 2 chains and counts to at least 3."""
+        return (self.exact and self.total == 2
+                and sorted(self.classifications) == ["colex", "lex"])
 
 
 def enumerate_compressed_optimal_orders(g: Graph, cap: int = 10,
@@ -351,9 +320,9 @@ def _enumerate_chains(dh: DeltaSequence, dg: DeltaSequence, cap: int,
     dag = _PrefixDag(nh * ng, ((1 << nh) - 1) << ng, moves)
     limit = max(count_limit, 1)  # the first full chain is always counted
     total = dag.count(limit)
-    chains = tuple(CompressedChain(cells, (nh, ng)) for cells in dag.paths(min(cap, limit)))
+    chains = tuple(dag.paths(min(cap, limit)))
     return ChainSurvey(chains, total, total < limit,
-                       tuple(c.classify() for c in chains))
+                       tuple(_classify_chain(cells, (nh, ng)) for cells in chains))
 
 
 # ============================================================

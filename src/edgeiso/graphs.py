@@ -4,8 +4,8 @@ Vertices are dense integers ``0..n-1``.  Each adjacency row is a Python
 int used as a bit mask, so every single-set edge count in this package
 reduces to popcounts of row intersections.  ``_edge_counts_many`` counts
 a whole batch of sets at once, given as a boolean membership matrix, in
-one numpy pass over the edge list.  Graphs never change after
-construction, which keeps them safe to share across threads.
+one numpy pass over the edge list.  A vertex set is given as an int
+mask or as an iterable of vertices (``as_mask``).
 
 The module also hosts the constructor expression grammar
 (``complete(4)``, ``join(X,Y)``, ``power(complete(2),3)``, ...) and the
@@ -68,13 +68,6 @@ class Graph:
         self.adj = tuple(rows)
         self.name = name
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
@@ -86,11 +79,6 @@ class Graph:
             for k in bit_indices(higher):
                 out.append((u, u + 1 + k))
         return out
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise InputError(f"vertex pair ({u},{v}) out of range for n={self.n}")
-        return bool(self.adj[u] >> v & 1)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -106,64 +94,18 @@ class Graph:
         return self.name if self.name else f"graph(n={self.n})"
 
 
-class VertexSet:
-    """A subset of a graph's vertices, stored as a bit mask.
-
-    Construction validates that every member is inside ``0..n-1``.
-    """
-
-    __slots__ = ("n", "mask")
-
-    def __init__(self, n: int, members: Iterable[int] = ()):
-        mask = 0
-        for v in members:
-            if not 0 <= v < n:
-                raise InputError(f"vertex {v} out of range for n={n}")
-            mask |= 1 << v
-        self.n = n
-        self.mask = mask
-
-    @classmethod
-    def from_mask(cls, n: int, mask: int) -> "VertexSet":
-        if mask < 0 or mask >> n:
-            raise InputError(f"mask {mask:#x} has bits outside 0..{n - 1}")
-        vs = cls.__new__(cls)
-        vs.n = n
-        vs.mask = mask
-        return vs
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __iter__(self) -> Iterator[int]:
-        return bit_indices(self.mask)
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and bool(self.mask >> v & 1)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VertexSet) and (self.n, self.mask) == (other.n, other.mask)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.mask))
-
-    def __repr__(self) -> str:
-        return f"VertexSet({sorted(self)})"
-
-    def to_hex(self) -> str:
-        return hex(self.mask)
-
-
 def as_mask(g: Graph, a) -> int:
-    """Normalize a VertexSet, bit mask, or iterable of vertices to a mask."""
-    if isinstance(a, VertexSet):
-        mask = a.mask
-    elif isinstance(a, int):
-        mask = a
-    else:
-        mask = VertexSet(g.n, a).mask
-    if mask < 0 or mask >> g.n:
-        raise InputError(f"vertex set {mask:#x} has members outside 0..{g.n - 1}")
+    """Normalize a vertex set, given as a bit mask or an iterable of
+    vertices, to a bit mask."""
+    if isinstance(a, int):
+        if a < 0 or a >> g.n:
+            raise InputError(f"vertex set {a:#x} has members outside 0..{g.n - 1}")
+        return a
+    mask = 0
+    for v in a:
+        if not 0 <= v < g.n:
+            raise InputError(f"vertex {v} out of range for n={g.n}")
+        mask |= 1 << v
     return mask
 
 

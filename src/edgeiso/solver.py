@@ -190,13 +190,11 @@ class OrderReport(NamedTuple):
 # Profile scans
 # ============================================================
 
-def iso_profile(g: Graph, strategy: str = "auto",
-                low_bits: int | None = None) -> IsoProfile:
+def iso_profile(g: Graph, strategy: str = "auto") -> IsoProfile:
     """Exact I/Theta tables with witnesses for every cardinality.
 
     ``strategy`` is one of auto, gray, blocks; graphs past
-    ``SCAN_CEILING`` vertices are refused.  ``low_bits`` shrinks the
-    block width (testing hook for the block merge logic).
+    ``SCAN_CEILING`` vertices are refused.
 
     An r-regular graph is scanned for the induced side only: there
     Theta(A) = r*|A| - 2*e(A), since the r*|A| edge ends at A's vertices
@@ -217,7 +215,7 @@ def iso_profile(g: Graph, strategy: str = "auto",
     if strategy == "gray":
         tables = _scan_gray(g, boundary=not regular)
     elif strategy == "blocks":
-        tables = _scan_blocks(g, low_bits=low_bits, degree=r)
+        tables = _scan_blocks(g, degree=r)
     else:
         raise InputError(f"unknown scan strategy {strategy!r}")
     induced, boundary, induced_witness, boundary_witness = tables
@@ -359,7 +357,7 @@ def _low_tables(adj, weights: list, k: int):
     return order, induced.take(order), sums, pieces
 
 
-def _scan_blocks(g: Graph, low_bits: int | None = None, degree: int | None = None):
+def _scan_blocks(g: Graph, degree: int | None = None):
     """(induced, boundary, induced witnesses, boundary witnesses).
 
     ``degree`` is r when g is r-regular: then no boundary table is kept,
@@ -368,9 +366,7 @@ def _scan_blocks(g: Graph, low_bits: int | None = None, degree: int | None = Non
     """
     n, adj = g.n, g.adj
     deg = [row.bit_count() for row in adj]
-    k = min(n, _BLOCK_LOW_BITS if low_bits is None else low_bits)
-    if k < 1:
-        raise InputError("block scan needs at least one low bit")
+    k = min(n, _BLOCK_LOW_BITS)
     hi = n - k
     boundary = degree is None
     mirror = not boundary and hi > 0
@@ -505,12 +501,11 @@ class _PrefixDag:
         self.deepest = 0  # longest prefix ``paths`` reached
 
     def count(self, limit: int | None = None) -> int:
-        """Completions of the start state, min(total, limit)."""
+        """Completions of the start state, min(total, limit); a DAG is
+        counted at most once, before any ``paths``."""
         memo, moves, depth = self.memo, self.moves, self.depth
         if depth == 0:
             return 1
-        if self.start in memo:
-            return memo[self.start]
         cap = math.inf if limit is None else limit
         # one frame per open state: [state, its moves, completions so far]
         frames = [[self.start, moves(self.start, 0), 0]]

@@ -190,15 +190,15 @@ def compress_set(h_graph: Graph, g_graph: Graph, cells) -> Diagram:
     """Push a product set into diagram form without losing edges: the
     compression lemma, run until fixpoint.
 
-    ``cells`` is an iterable of (x, y) pairs, a bit mask, or a
-    VertexSet over the product labeling x * n_g + y.  Both factor
+    ``cells`` is an iterable of (x, y) pairs, or a bit mask over the
+    product labeling x * n_g + y.  Both factor
     graphs must be labeled by nested-solution orders for the guarantee
     to hold; the result is checked against the input count and a
     violation raises.
     """
     nh, ng = h_graph.n, g_graph.n
     product = cartesian_product(h_graph, g_graph)
-    if isinstance(cells, (int,)) or hasattr(cells, "mask"):
+    if isinstance(cells, int):
         mask = as_mask(product, cells)
         pairs = {divmod(v, ng) for v in bit_indices(mask)}
     else:

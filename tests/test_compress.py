@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from conftest import column_tables_by_row, compress_set
 import edgeiso.compress
-from edgeiso.compress import (_NEG, CompressedChain, Diagram, DiagramOptimizer,
-                              _column_tables, colex_chain, diagram_weight,
-                              enumerate_compressed_optimal_orders, lex_chain,
-                              power_lex_check, staircase_members, verify_lex_square)
+from edgeiso.compress import (_NEG, Diagram, DiagramOptimizer, _classify_chain,
+                              _colex_cells, _column_tables, _lex_cells, diagram_weight,
+                              enumerate_compressed_optimal_orders, power_lex_check,
+                              staircase_members, verify_lex_square)
 from edgeiso.delta import DeltaSequence, delta_of, nested_solution_form
 from edgeiso.errors import CapacityError, InputError, NsRequiredError
 from edgeiso.graphs import (Graph, cartesian_power, cartesian_product, complete, cycle,
@@ -36,6 +36,14 @@ def all_heights(nh, ng):
             yield from rec(x + 1, h, acc)
             acc.pop()
     yield from rec(0, ng, [])
+
+
+def heights_after(cells, m, nh):
+    """Column heights of the first m cells of a chain in a box of nh columns."""
+    heights = [0] * nh
+    for x, _ in cells[:m]:
+        heights[x] += 1
+    return tuple(heights)
 
 
 def delta_for(g):
@@ -85,31 +93,31 @@ def test_staircase_members_match_product_masks(box):
 def test_diagram_serialization():
     d = Diagram((4, 1, 0), (3, 4))
     assert d.serialize() == "4,1,0"
-    assert Diagram.parse("4,1,0", (3, 4)) == d
-    with pytest.raises(InputError):
-        Diagram.parse("4,x,0", (3, 4))
+    assert repr(d) == "Diagram(4,1,0)"
 
 
 def test_prefix_constructors():
-    assert lex_chain(3, 4).diagram(5).heights == (4, 1, 0)
-    assert colex_chain(3, 4).diagram(5).heights == (2, 2, 1)
+    assert heights_after(_lex_cells(3, 4), 5, 3) == (4, 1, 0)
+    assert heights_after(_colex_cells(3, 4), 5, 3) == (2, 2, 1)
     for m in range(13):
-        assert lex_chain(3, 4).diagram(m).size == m
-        assert colex_chain(3, 4).diagram(m).size == m
+        assert sum(heights_after(_lex_cells(3, 4), m, 3)) == m
+        assert sum(heights_after(_colex_cells(3, 4), m, 3)) == m
 
 
 def test_prefixes_match_chains():
     # lex fills column 0, then column 1, ...; colex fills row 0, then row 1, ...
     for nh, ng in ((2, 2), (3, 4), (4, 3), (1, 5), (5, 1)):
-        lex = lex_chain(nh, ng)
-        colex = colex_chain(nh, ng)
+        lex = _lex_cells(nh, ng)
+        colex = _colex_cells(nh, ng)
+        assert len(lex) == len(colex) == len(set(lex)) == nh * ng
         for m in range(nh * ng + 1):
             full, part = divmod(m, ng)
             heights = ([ng] * full + [part] + [0] * nh)[:nh]
-            assert lex.diagram(m) == Diagram(heights, (nh, ng))
+            # a Diagram is validated as a staircase inside the box
+            assert Diagram(heights_after(lex, m, nh), (nh, ng)) == Diagram(heights, (nh, ng))
             full, part = divmod(m, nh)
             heights = [full + 1] * part + [full] * (nh - part)
-            assert colex.diagram(m) == Diagram(heights, (nh, ng))
+            assert Diagram(heights_after(colex, m, nh), (nh, ng)) == Diagram(heights, (nh, ng))
 
 
 # ------------------------------------------------------------
@@ -322,16 +330,12 @@ def test_failing_power_rebuilds_its_witnesses_in_one_batch(monkeypatch, pet):
 # Compression of arbitrary sets
 # ------------------------------------------------------------
 
-def test_compress_set_accepts_three_input_forms():
+def test_compress_set_accepts_cells_or_mask():
     h, g = path(3), complete(3)
     # product labels x * 3 + y; cells (0,0), (1,1), (2,2)
     cells = [(0, 0), (1, 1), (2, 2)]
     mask = (1 << 0) | (1 << 4) | (1 << 8)
-    from edgeiso.graphs import VertexSet
-    got = {compress_set(h, g, cells).heights,
-           compress_set(h, g, mask).heights,
-           compress_set(h, g, VertexSet.from_mask(9, mask)).heights}
-    assert len(got) == 1
+    assert compress_set(h, g, cells) == compress_set(h, g, mask)
 
 
 def test_compress_set_never_loses_edges():
@@ -371,15 +375,13 @@ def test_compress_set_canary_for_non_ns_labels():
 # ------------------------------------------------------------
 
 def test_chain_classification():
-    assert lex_chain(3, 4).classify() == "lex"
-    assert colex_chain(3, 4).classify() == "colex"
-    other = CompressedChain(
-        ((0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (1, 1), (2, 1), (1, 2), (2, 2)),
-        (3, 3))
-    assert other.classify() == "other"
-    assert other.diagram(5).heights == (3, 1, 1)
-    with pytest.raises(InputError):
-        CompressedChain(((0, 0),), (2, 2))
+    assert _classify_chain(_lex_cells(3, 4), (3, 4)) == "lex"
+    assert _classify_chain(_colex_cells(3, 4), (3, 4)) == "colex"
+    # a box with one row or one column has a single chain, which is lex
+    assert _classify_chain(_colex_cells(1, 4), (1, 4)) == "lex"
+    other = ((0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (1, 1), (2, 1), (1, 2), (2, 2))
+    assert _classify_chain(other, (3, 3)) == "other"
+    assert heights_after(other, 5, 3) == (3, 1, 1)
 
 
 def test_enumerate_chains_complete_graphs():
@@ -387,12 +389,16 @@ def test_enumerate_chains_complete_graphs():
         survey = enumerate_compressed_optimal_orders(complete(n), cap=10)
         assert survey.total == 2 and survey.exact
         assert sorted(survey.classifications) == ["colex", "lex"]
+        assert set(survey.chains) == {_lex_cells(n, n), _colex_cells(n, n)}
+        assert survey.exactly_lex_and_colex
 
 
 def test_enumerate_chains_z2(z2, z2_profile):
     survey = enumerate_compressed_optimal_orders(z2, cap=10, profile=z2_profile)
     assert survey.total == 2 and survey.exact
     assert sorted(survey.classifications) == ["colex", "lex"]
+    assert set(survey.chains) == {_lex_cells(17, 17), _colex_cells(17, 17)}
+    assert survey.exactly_lex_and_colex
 
 
 def test_enumerate_chains_path3_many():
@@ -410,7 +416,8 @@ def test_enumerate_chains_prefixes_hit_optima():
         assert survey.total >= 1
         for chain in survey.chains:
             for m in range(1, g.n * g.n + 1):
-                weight = diagram_weight(d, d, chain.diagram(m))
+                diagram = Diagram(heights_after(chain, m, g.n), (g.n, g.n))
+                weight = diagram_weight(d, d, diagram)
                 assert weight == opt.optimum(m)
 
 
@@ -663,7 +670,8 @@ def test_compressed_reports_first_failing_power_path3():
     # labels below 9 have first coordinate 0, so both sets lie in path(3)^3
     cube = cartesian_power(nested_solution_form(path(3))[0], 3)
     assert induced_edges(cube, 0b1111) == 3
-    assert induced_edges(cube, Diagram.parse(first.witness, (3, 3)).product_mask()) == 4
+    witness = Diagram([int(h) for h in first.witness.split(",")], (3, 3))
+    assert induced_edges(cube, witness.product_mask()) == 4
 
 
 def test_compressed_reports_first_failing_power_petersen(pet):

@@ -110,13 +110,13 @@ def test_chains_match_staircase_filter(dh, dg, cap, count_limit):
     expected = brute_chains(dh.values, dg.values)
     survey = _enumerate_chains(dh, dg, cap=cap, count_limit=10**9)
     assert survey.total == len(expected) and survey.exact
-    assert [c.cells for c in survey.chains] == expected[:cap]
+    assert list(survey.chains) == expected[:cap]
     # the count stops at the limit; at least the first chain is counted
     limit = max(count_limit, 1)
     clipped = _enumerate_chains(dh, dg, cap=cap, count_limit=count_limit)
     assert clipped.total == min(len(expected), limit)
     assert clipped.exact == (len(expected) < limit)
-    assert [c.cells for c in clipped.chains] == expected[:min(cap, limit)]
+    assert list(clipped.chains) == expected[:min(cap, limit)]
 
 
 @st.composite
@@ -133,7 +133,7 @@ def assert_matches_height_walker(dh, dg, cap, count_limit):
                                count_limit=count_limit)
     total, exact, chains, kinds = height_chain_survey(dh, dg, cap, count_limit)
     assert (survey.total, survey.exact) == (total, exact)
-    assert [c.cells for c in survey.chains] == chains
+    assert list(survey.chains) == chains
     assert survey.classifications == kinds
     return survey
 

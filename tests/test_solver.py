@@ -29,6 +29,14 @@ def profile_tuple(p: IsoProfile):
     return (p.induced, p.boundary, p.induced_witness, p.boundary_witness)
 
 
+def narrow_profile(g, low_bits: int, strategy: str = "blocks") -> IsoProfile:
+    """``iso_profile`` with the block width narrowed to ``low_bits``, so
+    that small graphs split into many blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(edgeiso.solver, "_BLOCK_LOW_BITS", low_bits)
+        return iso_profile(g, strategy=strategy)
+
+
 # ------------------------------------------------------------
 # Scan strategies against the independent oracle
 # ------------------------------------------------------------
@@ -59,8 +67,8 @@ def test_strategies_bit_identical():
     for _ in range(15):
         g = random_graph(rng, rng.randint(6, 12))
         gray = iso_profile(g, strategy="gray")
-        # low_bits=3 forces many small blocks through the merge path
-        blocks = iso_profile(g, strategy="blocks", low_bits=3)
+        # 3 low bits force many small blocks through the merge path
+        blocks = narrow_profile(g, 3)
         assert profile_tuple(gray) == profile_tuple(blocks)
         assert (list(gray.induced), list(gray.boundary)) == brute_tables(g.n, g.edges())
         assert (list(gray.induced_witness),
@@ -76,7 +84,7 @@ def test_blocks_match_brute_oracles(data):
     keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = [pair for pair, kept in zip(pairs, keep) if kept]
     low_bits = data.draw(st.integers(1, n))
-    prof = iso_profile(from_edge_list(n, edges), strategy="blocks", low_bits=low_bits)
+    prof = narrow_profile(from_edge_list(n, edges), low_bits)
     assert (list(prof.induced), list(prof.boundary)) == brute_tables(n, edges)
     assert (list(prof.induced_witness), list(prof.boundary_witness)) == brute_witnesses(n, edges)
 
@@ -87,7 +95,7 @@ def test_blocks_match_brute_oracles(data):
 def test_blocks_tie_heavy_graphs_equal_gray(g):
     # Vertex-transitive graphs tie at every size in many blocks, so the
     # least-mask rule decides almost every witness.
-    blocks = iso_profile(g, strategy="blocks", low_bits=2)
+    blocks = narrow_profile(g, 2)
     assert profile_tuple(blocks) == profile_tuple(iso_profile(g, strategy="gray"))
 
 
@@ -159,11 +167,6 @@ def test_scan_ceiling_is_the_one_limit(monkeypatch):
         iso_profile(complete(3), cap=SCAN_CEILING + 1)
 
 
-def test_block_low_bits_validation():
-    with pytest.raises(InputError):
-        iso_profile(complete(3), strategy="blocks", low_bits=0)
-
-
 # ------------------------------------------------------------
 # One walker over every block
 # ------------------------------------------------------------
@@ -188,7 +191,7 @@ def test_thread_count_does_not_change_output(monkeypatch):
     gray = profile_tuple(iso_profile(g, strategy="gray"))
     for workers in ("1", "4", "13", "zero"):
         monkeypatch.setenv(THREADS_ENV, workers)
-        assert profile_tuple(iso_profile(g, strategy="blocks", low_bits=8)) == gray, workers
+        assert profile_tuple(narrow_profile(g, 8)) == gray, workers
 
 
 def test_production_width_blocks_equal_gray():
@@ -291,7 +294,7 @@ def test_regular_graphs_match_brute_oracles(g, data):
     assert is_regular(g)[0]
     strategy = data.draw(st.sampled_from(["auto", "gray", "blocks"]))
     low_bits = data.draw(st.integers(1, g.n))
-    prof = iso_profile(g, strategy=strategy, low_bits=low_bits)
+    prof = narrow_profile(g, low_bits, strategy)
     edges = g.edges()
     assert (list(prof.induced), list(prof.boundary)) == brute_tables(g.n, edges)
     assert (list(prof.induced_witness),
@@ -336,11 +339,11 @@ def mirrored_regular_graphs(draw):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(mirrored_regular_graphs(), st.data())
 def test_mirrored_block_walk_matches_brute_oracles(g, data):
-    # low_bits < n leaves at least one high vertex, so at least two blocks
-    # and every walked block answers for a complement block.
+    # Fewer low bits than vertices leave at least one high vertex, so at
+    # least two blocks, and every walked block answers for a complement block.
     assert is_regular(g)[0]
     low_bits = data.draw(st.integers(1, g.n - 1))
-    prof = iso_profile(g, strategy="blocks", low_bits=low_bits)
+    prof = narrow_profile(g, low_bits)
     edges = g.edges()
     assert (list(prof.induced), list(prof.boundary)) == brute_tables(g.n, edges)
     assert (list(prof.induced_witness),
@@ -365,7 +368,7 @@ def test_split_popcount_layout_matches_brute_oracles(data):
     half = data.draw(st.integers(1, low_bits))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_HALF_BITS", half)
-        prof = iso_profile(g, strategy="blocks", low_bits=low_bits)
+        prof = narrow_profile(g, low_bits)
     edges = g.edges()
     assert (list(prof.induced), list(prof.boundary)) == brute_tables(g.n, edges)
     assert (list(prof.induced_witness),
@@ -387,7 +390,7 @@ def test_mirrored_witness_is_the_greatest_maximizer_of_all_pieces(half, monkeypa
     monkeypatch.setattr(solver, "_HALF_BITS", half)
     g = from_edge_list(10, CUBIC_10)
     assert is_regular(g) == (True, 3)
-    prof = iso_profile(g, strategy="blocks", low_bits=9)
+    prof = narrow_profile(g, 9)
     assert prof.induced_witness[7] == 0x2f5
     assert list(prof.induced_witness) == brute_witnesses(10, CUBIC_10)[0]
 
@@ -419,7 +422,7 @@ def test_regular_block_scan_walks_half_the_blocks(g, high, steps, monkeypatch):
             return getattr(np, name)
 
     monkeypatch.setattr(solver, "np", CountingNumpy())
-    prof = iso_profile(g, strategy="blocks", low_bits=g.n - high)
+    prof = narrow_profile(g, g.n - high)
     monkeypatch.undo()
     assert reductions.count(1 << (g.n - high)) == steps
     assert profile_tuple(prof) == profile_tuple(iso_profile(g, strategy="gray"))
@@ -443,7 +446,7 @@ def test_only_irregular_graphs_scan_the_boundary(monkeypatch):
     assert not is_regular(irregular)[0]
     for g in (irregular, petersen()):
         for strategy in ("gray", "blocks"):
-            iso_profile(g, strategy=strategy, low_bits=6)
+            narrow_profile(g, 6, strategy)
     assert seen == [("_scan_gray", True, None), ("_scan_blocks", None, None),
                     ("_scan_gray", False, None), ("_scan_blocks", None, 3)]
 

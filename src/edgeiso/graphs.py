@@ -14,8 +14,8 @@ edge-list text format accepted by the command line front end.
 
 from __future__ import annotations
 
+import ast
 import os
-import re
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -193,29 +193,30 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]], name: str | None = 
 
 
 def complete(n: int) -> Graph:
-    _require_positive(n, "complete")
+    _require_order(n, "complete")
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)], name=f"complete({n})")
 
 
 def empty_graph(n: int) -> Graph:
-    _require_positive(n, "empty")
+    _require_order(n, "empty")
     return Graph(n, (), name=f"empty({n})")
 
 
 def path(n: int) -> Graph:
-    _require_positive(n, "path")
+    _require_order(n, "path")
     return Graph(n, [(i, i + 1) for i in range(n - 1)], name=f"path({n})")
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise InputError(f"cycle needs at least 3 vertices, got {n}")
+    _require_order(n, "cycle")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)], name=f"cycle({n})")
 
 
 def star(n: int) -> Graph:
     """Star on n vertices: center 0 joined to every leaf."""
-    _require_positive(n, "star")
+    _require_order(n, "star")
     return Graph(n, [(0, i) for i in range(1, n)], name=f"star({n})")
 
 
@@ -313,17 +314,29 @@ def graph_y() -> Graph:
 
 
 def graph_z(k: int) -> Graph:
-    """X joined with k copies of Y; Z(2) has 17 vertices and 111 edges."""
-    _require_positive(k, "Z")
-    g = graph_x()
-    for _ in range(k):
-        g = join(g, graph_y())
-    return Graph(g.n, g.edges(), name=f"Z({k})")
+    """X joined with k copies of Y; Z(2) has 17 vertices and 111 edges.
+
+    Built in one pass with the labels of the join chain
+    ``join(...join(join(X, Y), Y)..., Y)``: X on 0..4, then each copy of
+    Y, and an edge between every two vertices of different parts.
+    """
+    if k < 1:
+        raise InputError(f"Z needs at least 1 copy of Y, got {k}")
+    _require_order(5 + 6 * k, f"Z({k})")
+    edges, start = [], 0
+    for part in [graph_x()] + [graph_y()] * k:
+        edges += [(start + u, start + v) for u, v in part.edges()]
+        edges += [(u, v) for u in range(start) for v in range(start, start + part.n)]
+        start += part.n
+    return Graph(start, edges, name=f"Z({k})")
 
 
-def _require_positive(n: int, what: str) -> None:
+def _require_order(n: int, what: str) -> None:
+    """Refuse a vertex count below 1 or over the cap before any edge is built."""
     if n < 1:
         raise InputError(f"{what} needs at least 1 vertex, got {n}")
+    if n > MAX_VERTICES:
+        raise CapacityError(f"{what} on {n} vertices exceeds the {MAX_VERTICES}-vertex cap")
 
 
 def _compose_name(op: str, a: Graph, b: Graph) -> str | None:
@@ -336,107 +349,59 @@ def _compose_name(op: str, a: Graph, b: Graph) -> str | None:
 # Constructor expression grammar
 # ============================================================
 #
-#   expr  := NAME | NAME '(' arg {',' arg} ')'
-#   arg   := expr | INT
-#
-# Names are case-insensitive.  Integer arguments are only valid where a
-# count is expected.
+# An expression is a Python expression made only of calls of these
+# names (case-insensitive), bare names of the constructors that take no
+# arguments, and decimal integer literals.  Each name maps to its
+# constructor and argument types.  Python's own parser reads the text;
+# nothing is evaluated but these constructors.
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+|[(),])")
-
-_FAMILIES = {
-    "complete": complete,
-    "path": path,
-    "cycle": cycle,
-    "star": star,
-    "empty": empty_graph,
-    "z": graph_z,
+_GRAMMAR = {
+    "complete": (complete, (int,)),
+    "path": (path, (int,)),
+    "cycle": (cycle, (int,)),
+    "star": (star, (int,)),
+    "empty": (empty_graph, (int,)),
+    "z": (graph_z, (int,)),
+    "petersen": (petersen, ()),
+    "x": (graph_x, ()),
+    "y": (graph_y, ()),
+    "union": (graph_union, (Graph, Graph)),
+    "join": (join, (Graph, Graph)),
+    "product": (cartesian_product, (Graph, Graph)),
+    "power": (cartesian_power, (Graph, int)),
 }
-
-_ATOMS = {
-    "petersen": petersen,
-    "x": graph_x,
-    "y": graph_y,
-}
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise InputError(f"bad character in expression at: {text[pos:]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
 
 
 def named(expression: str) -> Graph:
     """Build a graph from a constructor expression like ``join(X,Y)``."""
-    tokens = _tokenize(expression)
-    if not tokens:
-        raise InputError("empty graph expression")
-    value, rest = _parse_expr(tokens)
-    if rest:
-        raise InputError(f"trailing tokens in expression: {' '.join(rest)}")
-    if not isinstance(value, Graph):
-        raise InputError("expression is a number, not a graph")
-    return value
+    text = expression.strip()
+    if not text.isascii():
+        raise InputError("graph expression has a non-ASCII character")
+    try:
+        tree = ast.parse(text, "<expression>", "eval")
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        raise InputError(f"malformed graph expression: {exc}") from None
+    return _build(tree.body, Graph, text)
 
 
-def _parse_expr(tokens: list[str]):
-    head, rest = tokens[0], tokens[1:]
-    if head.isdigit():
-        return int(head), rest
-    if head in "(),":
-        raise InputError(f"unexpected {head!r} in expression")
-    name = head.lower()
-    if rest and rest[0] == "(":
-        args, rest = _parse_args(rest[1:])
-        return _apply(name, args), rest
-    if name in _ATOMS:
-        return _ATOMS[name](), rest
-    raise InputError(f"unknown graph name {head!r}")
-
-
-def _parse_args(tokens: list[str]):
-    args = []
-    while True:
-        if not tokens:
-            raise InputError("unterminated argument list")
-        value, tokens = _parse_expr(tokens)
-        args.append(value)
-        if not tokens:
-            raise InputError("unterminated argument list")
-        sep, tokens = tokens[0], tokens[1:]
-        if sep == ")":
-            return args, tokens
-        if sep != ",":
-            raise InputError(f"expected ',' or ')' in arguments, got {sep!r}")
-
-
-def _apply(name: str, args: list):
-    if name in _FAMILIES:
-        if len(args) != 1 or not isinstance(args[0], int):
-            raise InputError(f"{name}(...) takes one integer argument")
-        return _FAMILIES[name](args[0])
-    if name in ("union", "join", "product"):
-        if len(args) != 2 or not all(isinstance(a, Graph) for a in args):
-            raise InputError(f"{name}(...) takes two graph arguments")
-        fn = {"union": graph_union, "join": join, "product": cartesian_product}[name]
-        return fn(args[0], args[1])
-    if name == "power":
-        if len(args) != 2 or not isinstance(args[0], Graph) or not isinstance(args[1], int):
-            raise InputError("power(...) takes a graph and an integer exponent")
-        return cartesian_power(args[0], args[1])
-    if name in _ATOMS:
-        if args:
-            raise InputError(f"{name} takes no arguments")
-        return _ATOMS[name]()
-    raise InputError(f"unknown constructor {name!r}")
+def _build(node: ast.expr, want: type, text: str):
+    """The value of ``node``, which must be of type ``want``: int or Graph."""
+    source = ast.get_source_segment(text, node)
+    if want is int:
+        if isinstance(node, ast.Constant) and source.isdigit():
+            return node.value
+        raise InputError(f"expected a decimal integer, got {source!r}")
+    call = node if isinstance(node, ast.Call) else None
+    head = call.func if call else node
+    name = head.id.lower() if isinstance(head, ast.Name) else None
+    if name not in _GRAMMAR:
+        raise InputError(f"expected a graph, got {source!r}")
+    build, types = _GRAMMAR[name]
+    args = call.args if call else []
+    if len(args) != len(types) or (call and call.keywords):
+        kinds = ", ".join("integer" if t is int else "graph" for t in types) or "nothing"
+        raise InputError(f"{name} takes ({kinds}), got {source!r}")
+    return build(*[_build(arg, t, text) for arg, t in zip(args, types)])
 
 
 # ============================================================
@@ -471,12 +436,6 @@ def parse_edge_list(text: str, name: str | None = None) -> Graph:
     if n is None:
         raise InputError("missing 'n <count>' header line")
     return Graph(n, edges, name=name)
-
-
-def format_edge_list(g: Graph) -> str:
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
 
 
 def load_graph(source: str) -> Graph:

@@ -178,13 +178,6 @@ class OrderReport(NamedTuple):
     rows: tuple[PrefixCheck, ...]
     ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "order": list(self.order),
-            "rows": [row._asdict() for row in self.rows],
-            "ok": self.ok,
-        }
-
 
 # ============================================================
 # Profile scans

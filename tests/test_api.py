@@ -9,7 +9,7 @@ import types
 import pytest
 
 import edgeiso
-from edgeiso import casebook, compress, graphs
+from edgeiso import casebook, compress, graphs, solver
 
 PUBLIC = {
     "CapacityError", "DeltaSequence", "Diagram", "DiagramOptimizer", "Graph",
@@ -32,6 +32,7 @@ REMOVED = [
     (edgeiso, "lex_chain"), (compress, "lex_chain"),
     (edgeiso, "colex_chain"), (compress, "colex_chain"),
     (edgeiso.Diagram, "parse"), (casebook, "claim_ids"),
+    (graphs, "format_edge_list"), (solver.OrderReport, "to_dict"),
 ]
 
 

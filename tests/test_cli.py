@@ -324,6 +324,13 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "power-check", "complete(2)")[0] == EXIT_USAGE
 
 
+def test_too_deep_expression_is_a_usage_error(capsys):
+    code, _, err = run_cli(capsys, "solve", "power(" * 5000 + "x" + ",1)" * 5000)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:")
+    assert "internal error" not in err
+
+
 def forbid_scans(monkeypatch):
     import edgeiso.solver
 

@@ -3,13 +3,16 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import edgeiso.graphs
 from conftest import brute_boundary, brute_induced, random_graph
 from edgeiso.errors import CapacityError, InputError
 from edgeiso.graphs import (Graph, as_mask, bit_indices,
                             boundary_edges, cartesian_power,
                             cartesian_product, complete, cross_edges, cycle,
-                            degrees, empty_graph, format_edge_list,
+                            degrees, empty_graph,
                             from_edge_list, graph_union, graph_x, graph_y,
                             graph_z, induced_edges, is_regular, join,
                             load_graph, named, parse_edge_list, path,
@@ -188,6 +191,27 @@ def test_join_construction_blocks():
     assert z2.name == "Z(2)"
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_z_is_the_join_chain(k):
+    chain = graph_x()
+    for _ in range(k):
+        chain = join(chain, graph_y())
+    z = graph_z(k)
+    assert (z.n, z.adj, z.name) == (chain.n, chain.adj, f"Z({k})")
+
+
+def test_sizes_are_checked_before_any_edge_is_built(monkeypatch):
+    def forbidden():
+        raise AssertionError("a part was built")
+
+    monkeypatch.setattr(edgeiso.graphs, "graph_x", forbidden)
+    with pytest.raises(CapacityError):
+        named("z(1000000)")
+    for family in ("complete", "path", "cycle", "star", "empty"):
+        with pytest.raises(CapacityError):
+            named(f"{family}(1000000000)")
+
+
 def test_expression_grammar():
     assert named("complete(5)") == complete(5)
     assert named("  Petersen ") == petersen()
@@ -203,18 +227,100 @@ def test_expression_grammar():
     "", "frob(3)", "complete", "complete(", "complete(2,3)",
     "complete(petersen)", "petersen(1)", "5", "complete(3) junk",
     "union(path(2))", "power(2,complete(2))", "complete(3)!",
+    "complete(0x4)", "complete(1_0)", "complete(4.0)", "complete(True)",
+    "complete(-1)", "complete(n=4)", "join(*x)", "x.y", "complete('4')",
+    "complete(4)(3)",
 ])
 def test_expression_errors(bad):
     with pytest.raises(InputError):
         named(bad)
 
 
-def test_edge_list_round_trip():
-    rng = random.Random(15)
-    for _ in range(20):
-        g = random_graph(rng, rng.randint(2, 9))
-        again = parse_edge_list(format_edge_list(g))
-        assert again.n == g.n and again.adj == g.adj
+def nest(depth: int) -> str:
+    return "power(" * depth + "x" + ",1)" * depth
+
+
+# Where Python's expression syntax differs from the hand-written grammar
+# it replaced.  Each row is accepted now and was rejected before.
+@pytest.mark.parametrize("text, same_as", [
+    ("petersen()", "petersen"),
+    ("complete(4,)", "complete(4)"),
+    ("(complete(3))", "complete(3)"),
+    ("complete((3))", "complete(3)"),
+    ("complete(4)  # a comment", "complete(4)"),
+    ("join(x, # first part\n y)", "join(x,y)"),
+    ("complete\\\n(4)", "complete(4)"),
+])
+def test_expression_now_accepted(text, same_as):
+    assert named(text) == named(same_as)
+
+
+# Each row is rejected now and was accepted before.
+@pytest.mark.parametrize("text", [
+    "complete(04)",         # leading zeros
+    "complete\n(4)",        # a newline outside parentheses ends the expression
+    "complete(\v4)",        # vertical tab is not Python whitespace
+    "complete(\u0663)",     # a non-ASCII digit (ARABIC-INDIC THREE)
+    nest(400),              # past the parser's nesting limit of about 200
+])
+def test_expression_now_rejected(text):
+    with pytest.raises(InputError):
+        named(text)
+
+
+def test_expression_nesting_within_the_limit():
+    assert named(nest(100)).name == nest(100).replace("x", "X")
+
+
+def test_expression_names_fold_case_but_not_unicode():
+    assert named("COMPLETE(4)") == complete(4)
+    with pytest.raises(InputError):
+        named("\uff43omplete(4)")  # FULLWIDTH c, which Python would fold to c
+
+
+FAMILIES = {"complete": complete, "path": path, "cycle": cycle, "star": star,
+            "empty": empty_graph, "z": graph_z}
+ATOMS = {"petersen": petersen, "x": graph_x, "y": graph_y}
+BINARY = {"union": graph_union, "join": join, "product": cartesian_product}
+
+
+@st.composite
+def expression_trees(draw, depth=4):
+    """(tokens, graph): an expression as a token list, and its graph built
+    by calling the constructors directly, with no parser."""
+    kinds = ["family", "atom"] + (["binary", "power"] if depth > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "family":
+        name = draw(st.sampled_from(sorted(FAMILIES)))
+        k = draw(st.integers(3 if name == "cycle" else 1, 2 if name == "z" else 4))
+        return [name, "(", str(k), ")"], FAMILIES[name](k)
+    if kind == "atom":
+        name = draw(st.sampled_from(sorted(ATOMS)))
+        return [name], ATOMS[name]()
+    inner, g = draw(expression_trees(depth - 1))
+    if kind == "power":
+        d = draw(st.integers(1, 2))
+        assume(g.n ** d <= 300)
+        return ["power", "(", *inner, ",", str(d), ")"], cartesian_power(g, d)
+    name = draw(st.sampled_from(sorted(BINARY)))
+    other, h = draw(expression_trees(depth - 1))
+    assume((g.n * h.n if name == "product" else g.n + h.n) <= 300)
+    return [name, "(", *inner, ",", *other, ")"], BINARY[name](g, h)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(expression_trees(), st.randoms(use_true_random=False))
+def test_expression_matches_direct_construction(tree, rng):
+    tokens, expected = tree
+    text, level = rng.choice(["", " ", "\n"]), 0
+    for token in tokens:
+        level += {"(": 1, ")": -1}.get(token, 0)
+        if token.isalpha():
+            token = "".join(c.upper() if rng.random() < 0.3 else c for c in token)
+        spaces = [""] * 3 + [" ", "\t", "\f"] + (["\n"] if level else [])
+        text += token + rng.choice(spaces)
+    g = named(text + rng.choice(["", " ", "\n"]))
+    assert (g.n, g.adj, g.name) == (expected.n, expected.adj, expected.name)
 
 
 def test_edge_list_comments_and_blanks():

@@ -46,7 +46,7 @@ import numpy as np
 from .delta import DeltaSequence, nested_solution_form, ns_delta
 from .errors import CapacityError, InputError
 from .graphs import Graph, capped_power, cartesian_power
-from .solver import SCAN_CEILING, IsoProfile, _PrefixDag, iso_profile, verify_order
+from .solver import SCAN_CEILING, IsoProfile, _walk, iso_profile, verify_order
 
 _NEG = -(1 << 50)  # impossible-state sentinel for the DP tables
 
@@ -316,12 +316,10 @@ def _enumerate_chains(dh: DeltaSequence, dg: DeltaSequence, cap: int,
                 yield (x, h), path ^ (low * 3)
             corners ^= low
 
-    # the empty diagram's boundary: n_g row steps below n_h column steps
-    dag = _PrefixDag(nh * ng, ((1 << nh) - 1) << ng, moves)
     limit = max(count_limit, 1)  # the first full chain is always counted
-    total = dag.count(limit)
-    chains = tuple(dag.paths(min(cap, limit)))
-    return ChainSurvey(chains, total, total < limit,
+    # the empty diagram's boundary: n_g row steps below n_h column steps
+    chains, total, _ = _walk(nh * ng, ((1 << nh) - 1) << ng, moves, min(cap, limit), limit)
+    return ChainSurvey(tuple(chains), total, total < limit,
                        tuple(_classify_chain(cells, (nh, ng)) for cells in chains))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ast
 import os
+import warnings
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -378,7 +379,11 @@ def named(expression: str) -> Graph:
     if not text.isascii():
         raise InputError("graph expression has a non-ASCII character")
     try:
-        tree = ast.parse(text, "<expression>", "eval")
+        # no string literal is valid here, so the parser's warnings about
+        # one (an invalid escape such as '\d') would only precede the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tree = ast.parse(text, "<expression>", "eval")
     except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         raise InputError(f"malformed graph expression: {exc}") from None
     return _build(tree.body, Graph, text)

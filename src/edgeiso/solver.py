@@ -470,85 +470,57 @@ def _optimum_table(profile: IsoProfile, side: str):
     raise InputError(f"unknown optimality side {side!r}")
 
 
-class _PrefixDag:
-    """The DAG of prefixes that hit the optimum at every size, walked by
-    the nested-solution search, order listing and chain surveys.  Only
-    chain surveys call ``count``: vertex orders are counted by
-    ``_layered_count``.  ``paths`` writes 0 to ``memo`` for each state
-    it leaves without a completion, so it never enters that state again.
+def _walk(depth: int, start, moves, cap: int, limit=math.inf):
+    """One depth-first pass over the DAG of prefixes that hit the optimum
+    at every size, for the nested-solution search, order listing and
+    chain surveys.  Returns the first ``cap`` full label sequences in
+    label order, the start state's completion count min(total, limit),
+    and the longest prefix entered.
 
     A state is the minimal key of a prefix, an int: a vertex mask, or a
     diagram's boundary path, whose bit n_g + x - h_x marks column x of
     height h_x; its value is the optimum at its size, so nothing else is
     carried.  ``moves(state, size)`` yields ``(label, child)`` in
     ascending label order for exactly the children that hit the optimum
-    at ``size + 1``.  ``memo`` maps a state to its completion count,
-    saturated at the count limit; 0 marks a dead state.
+    at ``size + 1``; ``depth`` >= 1 is the size of a full prefix.  The
+    memo maps each state the walk has left to its completion count,
+    saturated at ``limit``; 0 marks a dead state, never entered again.  A
+    state known to be live is entered again only while the walk is still
+    listing, since its sequences are not kept; after that its count is
+    added as it stands.
     """
-
-    def __init__(self, depth: int, start, moves):
-        self.depth = depth
-        self.start = start
-        self.moves = moves
-        self.memo: dict = {}
-        self.deepest = 0  # longest prefix ``paths`` reached
-
-    def count(self, limit: int | None = None) -> int:
-        """Completions of the start state, min(total, limit); a DAG is
-        counted at most once, before any ``paths``."""
-        memo, moves, depth = self.memo, self.moves, self.depth
-        if depth == 0:
-            return 1
-        cap = math.inf if limit is None else limit
-        # one frame per open state: [state, its moves, completions so far]
-        frames = [[self.start, moves(self.start, 0), 0]]
-        while True:
-            frame = frames[-1]
-            state, todo, total = frame
-            size = len(frames)  # size of the children ``todo`` yields
-            if total < cap:
-                for _, child in todo:
-                    known = 1 if size == depth else memo.get(child)
-                    if known is None:
-                        frames.append([child, moves(child, size), 0])
-                        break
-                    total += known
-                    if total >= cap:
-                        break
-                frame[2] = total
-                if frames[-1] is not frame:
-                    continue
-            total = min(total, cap)
-            memo[state] = total
-            frames.pop()
-            if not frames:
-                return total
-            frames[-1][2] += total
-
-    def paths(self, cap: int) -> list[tuple]:
-        """The first ``cap`` full label sequences, in label order."""
-        memo, moves, depth = self.memo, self.moves, self.depth
-        found: list[tuple] = []
-        # one frame per open state: label in, state, len(found) on entry, moves
-        frames = [(None, self.start, 0, moves(self.start, 0))]
-        while frames and len(found) < cap:
-            _, state, mark, todo = frames[-1]
-            size = len(frames)  # size of the children ``todo`` yields
-            for label, child in todo:
+    found: list[tuple] = []
+    memo: dict = {}
+    deepest = 0
+    # one frame per open state: [label in, state, its moves, completions so far]
+    frames = [[None, start, moves(start, 0), 0]]
+    while True:
+        frame = frames[-1]
+        total = frame[3]
+        size = len(frames)  # size of the children the frame's moves yield
+        if total < limit or len(found) < cap:
+            for label, child in frame[2]:
                 if size == depth:
-                    self.deepest = depth
-                    found.append(tuple(f[0] for f in frames[1:]) + (label,))
-                    if len(found) == cap:
+                    deepest, known = depth, 1
+                    if len(found) < cap:
+                        found.append(tuple(f[0] for f in frames[1:]) + (label,))
+                else:
+                    known = memo.get(child)
+                    if known is None or known and len(found) < cap:
+                        deepest = max(deepest, size)
+                        frames.append([label, child, moves(child, size), 0])
                         break
-                elif memo.get(child) != 0:
-                    self.deepest = max(self.deepest, size)
-                    frames.append((label, child, len(found), moves(child, size)))
+                total += known
+                if total >= limit and len(found) >= cap:
                     break
-            else:
-                frames.pop()
-                if len(found) == mark:
-                    memo[state] = 0
-        return found
+            frame[3] = total
+            if frames[-1] is not frame:
+                continue
+        total = memo[frame[1]] = min(total, limit)
+        frames.pop()
+        if not frames:
+            return found, total, deepest
+        frames[-1][3] += total
 
 
 def _vertex_moves(g: Graph, target, by_boundary: bool = False):
@@ -641,11 +613,9 @@ def has_ns(g: Graph, profile: IsoProfile | None = None, side: str = "induced") -
     default, boundary minimum as the off-by-default variant).
     """
     prof = profile or iso_profile(g)
-    dag = _PrefixDag(g.n, 0, _vertex_moves(g, _optimum_table(prof, side), side == "boundary"))
-    found = dag.paths(1)
-    if found:
-        return NsSearch(found[0], g.n)
-    return NsSearch(None, dag.deepest)
+    moves = _vertex_moves(g, _optimum_table(prof, side), side == "boundary")
+    found, _, deepest = _walk(g.n, 0, moves, 1, 1)
+    return NsSearch(found[0], g.n) if found else NsSearch(None, deepest)
 
 
 def verify_order(g: Graph, order, profile: IsoProfile | None = None) -> OrderReport:
@@ -676,8 +646,8 @@ def enumerate_optimal_orders(g: Graph, cap: int = 10,
     ``_layered_count`` counts them one layer of optimal k-sets at a time,
     summing int64 path counts, which stay exact: a count at layer k is
     at most k! <= 20! < 2^63 under ``ORDER_ENUM_CAP``.  A total of 0
-    lists nothing; otherwise the prefix DAG lists the first ``cap``
-    orders, marking the dead sets it meets on the way.
+    lists nothing; otherwise ``_walk`` lists the first ``cap`` orders,
+    marking the dead sets it meets on the way.
     """
     if g.n > ORDER_ENUM_CAP:
         raise CapacityError(
@@ -686,5 +656,5 @@ def enumerate_optimal_orders(g: Graph, cap: int = 10,
     total = _layered_count(g, prof.induced)
     if not total:
         return [], 0
-    dag = _PrefixDag(g.n, 0, _vertex_moves(g, prof.induced))
-    return [OptimalOrder(order) for order in dag.paths(cap)], total
+    orders, _, _ = _walk(g.n, 0, _vertex_moves(g, prof.induced), cap, cap)
+    return [OptimalOrder(order) for order in orders], total

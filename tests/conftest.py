@@ -19,7 +19,7 @@ from edgeiso.errors import InputError
 from edgeiso.graphs import (Graph, as_mask, bit_indices, cartesian_product, from_edge_list,
                             graph_union, graph_z, induced_edges)
 from edgeiso.graphs import complete, cycle, petersen
-from edgeiso.solver import _PrefixDag, iso_profile
+from edgeiso.solver import _walk, iso_profile
 
 
 def brute_induced(edges, subset) -> int:
@@ -176,10 +176,8 @@ def height_chain_survey(dh, dg, cap, count_limit):
             if h < ng and (x == 0 or heights[x - 1] > h) and dh[x] + dg[h] == want:
                 yield (x, h), heights[:x] + (h + 1,) + heights[x + 1:]
 
-    dag = _PrefixDag(nh * ng, (0,) * nh, moves)
     limit = max(count_limit, 1)
-    total = dag.count(limit)
-    chains = dag.paths(min(cap, limit))
+    chains, total, _ = _walk(nh * ng, (0,) * nh, moves, min(cap, limit), limit)
     lex = tuple((x, y) for x in range(nh) for y in range(ng))
     colex = tuple((x, y) for y in range(ng) for x in range(nh))
     kinds = tuple("lex" if c == lex else "colex" if c == colex else "other" for c in chains)

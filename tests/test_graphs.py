@@ -1,6 +1,7 @@
 """Graph construction, counting primitives, grammar, and formats."""
 
 import random
+import warnings
 
 import pytest
 from hypothesis import assume, given, settings
@@ -234,6 +235,16 @@ def test_expression_grammar():
 def test_expression_errors(bad):
     with pytest.raises(InputError):
         named(bad)
+
+
+def test_expression_errors_raise_no_parser_warnings():
+    # the parser warns about the invalid escape \d (a SyntaxWarning from
+    # Python 3.12, shown by default) before the string is refused
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InputError):
+            named("complete('\\d')")
+    assert caught == []
 
 
 def nest(depth: int) -> str:

@@ -16,7 +16,7 @@ from conftest import brute_chains, brute_optimal_orders, brute_tables, height_ch
 from edgeiso.compress import _enumerate_chains, enumerate_compressed_optimal_orders
 from edgeiso.delta import DeltaSequence, nested_solution_form
 from edgeiso.graphs import from_edge_list, path, petersen
-from edgeiso.solver import (_layered_count, _PrefixDag, _vertex_moves, enumerate_optimal_orders,
+from edgeiso.solver import (_layered_count, _vertex_moves, _walk, enumerate_optimal_orders,
                             has_ns, iso_profile)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -84,8 +84,8 @@ def test_layered_count_matches_depth_first_count(graph):
     n, edges = graph
     g = from_edge_list(n, edges)
     prof = iso_profile(g)
-    dag = _PrefixDag(n, 0, _vertex_moves(g, prof.induced))
-    assert _layered_count(g, prof.induced) == dag.count()
+    _, total, _ = _walk(n, 0, _vertex_moves(g, prof.induced), 0)
+    assert _layered_count(g, prof.induced) == total
 
 
 @PROPERTY
@@ -167,8 +167,29 @@ def test_chainless_square_finishes():
 
 
 def test_count_walks_deep_dags_without_recursion():
-    dag = _PrefixDag(5000, 0, lambda state, size: iter([(state, state + 1)]))
-    assert dag.count() == 1
+    found, total, deepest = _walk(5000, 0, lambda state, size: iter([(state, state + 1)]), 1)
+    assert found == [tuple(range(5000))]
+    assert (total, deepest) == (1, 5000)
+
+
+def test_walk_reenters_a_live_state_only_while_listing():
+    # K diamonds in a row: labels 0 and 1 both lead from state i to
+    # state i + 1, so every one of the 2^K label sequences is full.
+    # Listing the first 3 re-enters state K - 1 once; after that each
+    # state's count is added as it stands, so moves runs K + 1 times.
+    # Re-entering when not listing would run it about 2^K times, and
+    # adding a known count while listing would list only 2 sequences.
+    k, calls = 20, []
+
+    def moves(state, size):
+        calls.append(state)
+        yield 0, state + 1
+        yield 1, state + 1
+
+    found, total, deepest = _walk(k, 0, moves, 3)
+    assert total == 2 ** k and deepest == k
+    assert found == [(0,) * (k - 1) + (0,), (0,) * (k - 1) + (1,), (0,) * (k - 2) + (1, 0)]
+    assert len(calls) <= 2 * k + 2
 
 
 def test_chain_survey_over_1600_cells():

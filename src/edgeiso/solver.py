@@ -64,12 +64,14 @@ ORDER_ENUM_CAP = 20
 THREADS_ENV = "EDGEISO_THREADS"
 
 # At most 2^18 low subsets per vectorized block.  Each block step reads
-# and writes three int16 tables of 2^k entries (ind, bnd and one row):
-# 1.5 MB at k = 18, which fits a 2 MB per-core L2; at k = 20 they take
-# 6 MB and every block step misses that cache.  A regular graph keeps no
+# and writes three tables of 2^k entries (ind, bnd and one row) in the
+# type ``_table_type`` proves exact: at k = 18, 0.75 MB in one byte or
+# 1.5 MB in int16, within a 2 MB per-core L2.  A regular graph keeps no
 # bnd, so its steps touch two tables, and each of its steps also settles
-# the complement block, so it takes half as many.  The tables are built
-# once per scan, grouped by popcount (``_HALF_BITS``).
+# the complement block, so it takes half as many.  With one-byte tables
+# k = 18 is still the fastest: complete(3)^3 scanned in 7.4-9.7 ms at
+# k = 18, 8.1-10.2 at 19 and 11.5-13.2 at 20 (one thread, 2-vCPU Xeon).
+# The tables are built once per scan, grouped by popcount (``_HALF_BITS``).
 _BLOCK_LOW_BITS = 18
 # The low-mask tables are built grouped by popcount from a low half of at
 # most this many bits and a high half of the rest (``_low_tables``), so
@@ -260,16 +262,32 @@ def _scan_gray(g: Graph, boundary: bool = True):
     return best_i, best_t, wit_i, wit_t
 
 
+def _table_type(top: int, boundary: bool):
+    """The narrowest integer type that holds every block-scan table of a
+    graph with E edges, given ``top`` = 2E, with or without the boundary
+    table.
+
+    Every entry of the induced table, the rows and the partial sums that
+    build them counts edge ends, each at most once, so it lies in
+    [0, 2E]: twice the edges inside a low set x plus twice those from x
+    to the block's high vertices H, a degree sum, or twice the edges from
+    one vertex.  The boundary table holds e(x, rest) - e(x, H), with
+    rest = V - x - H, so it lies in [-E, E].  Hence uint8 is exact for
+    the induced table alone while 2E <= 255, int8 for both tables while
+    2E <= 127, and int16 always: 2E <= 32 * 31 = 992 under the ceiling.
+    The popcounts that order the tables are at most 18 in any type.
+    """
+    if boundary:
+        return np.int8 if top <= 127 else np.int16
+    return np.uint8 if top <= 255 else np.int16
+
+
 def _subset_sums(weights: np.ndarray, first: int, bits: int) -> np.ndarray:
     """out[r, x] = sum of weights[r, first + j] over the set bits j of x,
-    for x < 2^bits in mask order.
-
-    int16 holds every table the block scan builds: each entry lies
-    within [-sum(deg), sum(deg)] (twice the induced edges, a boundary,
-    or twice the edges from one vertex), and under the scan ceiling
-    sum(deg) <= 32 * 31 = 992.
+    for x < 2^bits in mask order, in the type of ``weights``, which must
+    hold every sum (``_table_type``).
     """
-    out = np.zeros((len(weights), 1 << bits), dtype=np.int16)
+    out = np.zeros((len(weights), 1 << bits), dtype=weights.dtype)
     size = 1
     for b in range(first, first + bits):
         np.add(out[:, :size], weights[:, b:b + 1], out=out[:, size:2 * size])
@@ -290,9 +308,10 @@ def _half_tables(spelled: np.ndarray, rows: int, first: int, bits: int):
     return sums, sums[:rows].take(order, axis=1), order << first, bounds
 
 
-def _low_tables(adj, weights: list, k: int):
+def _low_tables(adj, weights: list, k: int, dtype):
     """(order, ind0, sums, pieces): tables over the low masks x < 2^k,
-    grouped by popcount; ``weights`` is a list of rows of k weights.
+    grouped by popcount, in ``dtype``; ``weights`` is a list of rows of
+    k weights.
 
     ``order`` lists the masks: segment c holds the c-subsets, and
     ``pieces[c]`` lists its pieces as (start, stop).  The k bits split
@@ -312,13 +331,26 @@ def _low_tables(adj, weights: list, k: int):
     # ``weights``; per vertex v, twice its edges to the lower vertices;
     # and the popcount.
     lower = [[2 * (adj[v] >> u & 1) if u < v else 0 for u in range(k)] for v in range(k)]
-    spelled = np.array(weights + lower + [[1] * k], dtype=np.int16)
+    spelled = np.array(weights + lower + [[1] * k], dtype=dtype)
     lnat, lsum, lmask, lb = _half_tables(spelled, rows, 0, low)
     hnat, hsum, hmask, hb = _half_tables(spelled, rows, low, k - low)
 
+    # One block holds ``order``, the induced table in mask order and
+    # ``sums``.  glibc trims its heap once the free top exceeds twice the
+    # largest block it has freed from an mmap, so apart these tables were
+    # often handed back after a scan and faulted in again, page by page,
+    # in the next: about 1,100 minor faults per scan of complete(3)^3.
+    # One block never frees more than its own size.
+    span = 1 << k
+    head = span * np.dtype(np.intp).itemsize
+    buf = np.empty(head + (rows + 1) * span * np.dtype(dtype).itemsize, dtype=np.uint8)
+    order = buf[:head].view(np.intp)
+    tables = buf[head:].view(dtype).reshape(rows + 1, span)
+    induced, sums = tables[0], tables[1:]
+
     # Twice the edges inside x, in mask order: vertex v adds twice its
     # edges into x to each x < 2^v, a subset sum over x's halves.
-    induced = np.zeros(1 << k, dtype=np.int16)
+    induced[0] = 0
     for v in range(k):
         size = 1 << v
         if v < low:
@@ -331,8 +363,6 @@ def _low_tables(adj, weights: list, k: int):
     lows = [(lsum[:, None, lb[p]:lb[p + 1]], lmask[lb[p]:lb[p + 1]]) for p in range(low + 1)]
     highs = [(hsum[:, hb[q]:hb[q + 1], None], hmask[hb[q]:hb[q + 1], None])
              for q in range(k - low + 1)]
-    order = np.empty(1 << k, dtype=np.intp)
-    sums = np.empty((rows, 1 << k), dtype=np.int16)
     pieces = []
     at = 0
     for c in range(k + 1):
@@ -373,7 +403,8 @@ def _scan_blocks(g: Graph, degree: int | None = None):
     weights = [[2 * (adj[v] >> u & 1) for u in range(k)] for v in range(k, k + walked)]
     if boundary:
         weights.append(deg[:k])
-    order, ind, sums, pieces = _low_tables(adj, weights, k)
+    order, ind, sums, pieces = _low_tables(adj, weights, k,
+                                           _table_type(2 * g.edge_count(), boundary))
     rows = sums[:walked]
     bnd = sums[walked] - ind if boundary else None
     starts = np.array([segment[0][0] for segment in pieces])
@@ -647,7 +678,9 @@ def enumerate_optimal_orders(g: Graph, cap: int = 10,
     summing int64 path counts, which stay exact: a count at layer k is
     at most k! <= 20! < 2^63 under ``ORDER_ENUM_CAP``.  A total of 0
     lists nothing; otherwise ``_walk`` lists the first ``cap`` orders,
-    marking the dead sets it meets on the way.
+    marking the dead sets it meets on the way.  It needs no count, so its
+    limit is 1: each state counts only as live or dead, and the walk
+    stops at the ``cap``-th order.
     """
     if g.n > ORDER_ENUM_CAP:
         raise CapacityError(
@@ -656,5 +689,5 @@ def enumerate_optimal_orders(g: Graph, cap: int = 10,
     total = _layered_count(g, prof.induced)
     if not total:
         return [], 0
-    orders, _, _ = _walk(g.n, 0, _vertex_moves(g, prof.induced), cap, cap)
+    orders, _, _ = _walk(g.n, 0, _vertex_moves(g, prof.induced), cap, min(cap, 1))
     return [OptimalOrder(order) for order in orders], total

@@ -221,9 +221,10 @@ def bit_matrix(masks, k):
     return (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(k)) & 1
 
 
-def check_low_tables(adj, weights, k):
+def check_low_tables(adj, weights, k, dtype):
     import edgeiso.solver as solver
-    order, ind0, sums, pieces = solver._low_tables(adj, weights, k)
+    order, ind0, sums, pieces = solver._low_tables(adj, weights, k, dtype)
+    assert ind0.dtype == sums.dtype == dtype
     assert np.array_equal(np.sort(order), np.arange(1 << k))
     # segment c is contiguous, holds comb(k, c) masks of popcount c (so
     # exactly the c-subsets), and each of its pieces ascends
@@ -242,29 +243,105 @@ def check_low_tables(adj, weights, k):
     assert np.array_equal(ind0, 2 * ((bits @ lower) * bits).sum(axis=1))
 
 
+TABLE_TYPES = (np.uint8, np.int8, np.int16)
+
+
+def spread(top, k):
+    """k non-negative weights, as even as can be, that sum to ``top``."""
+    return [top // k + (j < top % k) for j in range(k)]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_low_tables_group_subset_sums_by_popcount(data):
+    # A one-byte type gets weights up to its maximum over k, so that a
+    # row's sum stays within the type, and at most half its maximum in
+    # low edges; int16 gets weights up to the largest degree, 31.
     import edgeiso.solver as solver
     k = data.draw(st.integers(1, 12))
     half = data.draw(st.integers(1, k))
-    weights = data.draw(st.lists(st.lists(st.integers(0, 31), min_size=k, max_size=k),
-                                 max_size=3))
+    dtype = data.draw(st.sampled_from(TABLE_TYPES))
+    top = int(np.iinfo(dtype).max)
+    weight = st.integers(0, 31 if dtype is np.int16 else top // k)
+    weights = data.draw(st.lists(st.lists(weight, min_size=k, max_size=k), max_size=3))
     pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
     keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = from_edge_list(k, [pair for pair, kept in zip(pairs, keep) if kept])
+    edges = [pair for pair, kept in zip(pairs, keep) if kept][:top // 2]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_HALF_BITS", half)
-        check_low_tables(g.adj, weights, k)
+        check_low_tables(from_edge_list(k, edges).adj, weights, k, dtype)
 
 
 def test_low_tables_at_full_width_with_the_largest_entries():
-    # The largest weights a scan passes: 2 per edge from a high vertex,
-    # and degrees up to 31 under the 32-vertex ceiling; and the most
-    # low edges.  Entries reach 18 * 31 = 558, past int8.
+    # The largest entries each type is chosen for.  int16: 2 per edge from
+    # a high vertex, degrees up to 31 under the 32-vertex ceiling, and the
+    # most low edges, so entries reach 18 * 31 = 558.  The one-byte types:
+    # a weight row that sums to the type's maximum, and as many low edges
+    # as ``_table_type`` admits, so twice the low edges reach 254 or 126.
     import edgeiso.solver as solver
     k = solver._BLOCK_LOW_BITS
-    check_low_tables(complete(k).adj, [[2] * k, [31] * k], k)
+    check_low_tables(complete(k).adj, [[2] * k, [31] * k], k, np.int16)
+    for dtype in (np.uint8, np.int8):
+        top = int(np.iinfo(dtype).max)
+        g = from_edge_list(k, complete(k).edges()[:top // 2])
+        assert solver._table_type(2 * g.edge_count(), dtype is np.int8) is dtype
+        check_low_tables(g.adj, [[2] * k, spread(top, k)], k, dtype)
+
+
+@pytest.mark.parametrize("top, boundary, dtype", [
+    (126, True, np.int8), (127, True, np.int8), (128, True, np.int16),
+    (254, True, np.int16), (255, True, np.int16), (256, True, np.int16),
+    (126, False, np.uint8), (127, False, np.uint8), (128, False, np.uint8),
+    (254, False, np.uint8), (255, False, np.uint8), (256, False, np.int16),
+])
+def test_table_type_is_the_narrowest_exact_type(top, boundary, dtype):
+    # top = 2E bounds every entry; the boundary table is signed
+    import edgeiso.solver as solver
+    assert solver._table_type(top, boundary) is dtype
+
+
+def recording_table_types(monkeypatch):
+    import edgeiso.solver as solver
+    used = []
+    real = solver._low_tables
+
+    def low_tables(adj, weights, k, dtype):
+        used.append(dtype)
+        return real(adj, weights, k, dtype)
+
+    monkeypatch.setattr(solver, "_low_tables", low_tables)
+    return used
+
+
+def test_two_table_scan_either_side_of_the_int8_bound(monkeypatch):
+    # Irregular graphs on 12 vertices with 63 and 64 edges: 2E = 126 fits
+    # int8 and 128 does not.  At 6 low bits each scan walks 64 blocks and
+    # its induced table reaches 2E in the last one.
+    used = recording_table_types(monkeypatch)
+    pairs = complete(12).edges()
+    for edges in (pairs[3:], pairs[2:]):
+        g = from_edge_list(12, edges)
+        assert not is_regular(g)[0]
+        prof = narrow_profile(g, 6)
+        assert (list(prof.induced), list(prof.boundary)) == brute_tables(12, edges)
+        assert (list(prof.induced_witness),
+                list(prof.boundary_witness)) == brute_witnesses(12, edges)
+    assert used == [np.int8, np.int16]
+
+
+def test_regular_scan_either_side_of_the_uint8_bound(monkeypatch):
+    # complete(16) has 2E = 240, which fits uint8 and not int8, and
+    # complete(17) has 272, past uint8.  Regular graphs need 17 vertices
+    # for 2E > 240, so these are the smallest on either side.  The least
+    # witnesses pin the tables too, since the profile recounts them.
+    used = recording_table_types(monkeypatch)
+    for n in (16, 17):
+        g = complete(n)
+        prof = narrow_profile(g, 12)
+        assert list(prof.induced) == [m * (m - 1) // 2 for m in range(n + 1)]
+        assert (list(prof.induced_witness),
+                list(prof.boundary_witness)) == brute_witnesses(n, g.edges())
+    assert used == [np.uint8, np.int16]
 
 
 # ------------------------------------------------------------
@@ -304,7 +381,9 @@ def test_regular_graphs_match_brute_oracles(g, data):
 def test_production_width_regular_equals_two_table_scan():
     # 20 and 24 vertices: 4 and 64 full-width blocks, of which the regular
     # scan walks 2 and 32.  The two-table scan is the irregular path, so
-    # it is the oracle for the derived rows and the mirrored blocks.
+    # it is the oracle for the derived rows and the mirrored blocks.  With
+    # 40 and 60 edges (2E <= 127) the regular scan keeps uint8 tables and
+    # the two-table scan int8 ones, so this also compares the two types.
     import edgeiso.solver as solver
     for g, r in ((cartesian_product(petersen(), complete(2)), 4),
                  (cartesian_product(complete(4), cycle(6)), 5)):
@@ -570,6 +649,29 @@ def test_enumerate_orders_cap_and_none(no_ns_graph):
     orders, total = enumerate_optimal_orders(no_ns_graph, cap=5)
     # no nested solutions here means no optimal orders at all
     assert (orders, total) == ([], 0)
+
+
+def test_enumerate_orders_stops_at_the_cap(monkeypatch):
+    # The listing walk needs no count, so once the second order of
+    # path(4) is listed it stops: 7 states expanded.  Counting each open
+    # state up to the cap as well expands 9.
+    import edgeiso.solver as solver
+    real = solver._vertex_moves
+    expanded = []
+
+    def vertex_moves(g, target, by_boundary=False):
+        moves = real(g, target, by_boundary)
+
+        def counted(mask, size):
+            expanded.append(mask)
+            return moves(mask, size)
+        return counted
+
+    monkeypatch.setattr(solver, "_vertex_moves", vertex_moves)
+    orders, total = enumerate_optimal_orders(path(4), cap=2)
+    assert total == 8
+    assert [o.order for o in orders] == [(0, 1, 2, 3), (1, 0, 2, 3)]
+    assert len(expanded) == 7
 
 
 def test_enumerate_orders_every_result_verifies():

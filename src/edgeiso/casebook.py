@@ -128,71 +128,27 @@ def _regular_corpus():
 
 
 def _check_regular_identity() -> tuple[bool, dict]:
-    rng = random.Random(41)
+    rng = np.random.default_rng(41)
     graphs = list(_regular_corpus())
     while len(graphs) < 54:
         g = _random_regular(rng)
         if g is not None:
             graphs.append(g)
-    # getrandbits(n) is the top n bits of one word for n <= 32
-    words = _words(rng, 1000 * len(graphs)).reshape(len(graphs), 1000).astype(np.int64)
     checked = 0
-    for g, row in zip(graphs, words):
+    for g in graphs:
         reg, r = graphs_mod.is_regular(g)
         if not reg:
             return False, {"error": f"{g.display_name()} is not regular"}
-        masks = row >> (32 - g.n)
-        member = (masks[:, None] >> np.arange(g.n) & 1).astype(bool)
+        member = rng.integers(0, 2, (1000, g.n), dtype=bool)
         induced = graphs_mod._edge_counts_many(g, member)
         # the boundary is counted edge by edge, apart from the induced kernel
         lhs = _crossing_counts(g, member) + 2 * induced
         bad = np.flatnonzero(lhs != r * member.sum(axis=1))
         if bad.size:
-            return False, {"graph": g.display_name(), "mask": hex(int(masks[bad[0]]))}
-        checked += len(masks)
+            mask = sum(1 << v for v in np.flatnonzero(member[bad[0]]).tolist())
+            return False, {"graph": g.display_name(), "mask": hex(mask)}
+        checked += len(member)
     return True, {"graphs": len(graphs), "subsets": checked}
-
-
-def _words(rng: random.Random, count: int) -> np.ndarray:
-    """The next ``count`` 32-bit outputs of ``rng``'s Mersenne Twister,
-    in order, leaving ``rng`` where ``count`` calls of
-    ``rng.getrandbits(32)`` would.
-
-    CPython's ``getrandbits(32 * count)`` fills its result from the
-    least significant word up, one twister output per word, so its
-    little-endian bytes are those outputs in draw order.  Python does
-    not document this; ``test_bulk_draws_replay_scalar_calls`` in
-    tests/test_casebook.py pins it.
-    """
-    return np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), "<u4")
-
-
-def _randints(rng: random.Random, hi: int, count: int) -> np.ndarray:
-    """Exactly what ``count`` calls of ``rng.randint(0, hi)`` return,
-    as int64, leaving ``rng`` in the same state those calls would.
-
-    CPython's ``randint(0, hi)`` is ``_randbelow(hi + 1)``: it takes
-    ``getrandbits(k)`` for k = (hi + 1).bit_length(), the top k bits of
-    one twister output when k <= 32, and draws again while that exceeds
-    ``hi``.  So each value is the top k bits of one word of ``_words``,
-    kept if it is at most ``hi``.  The words are overdrawn, then the
-    state is rewound and advanced by exactly the words used.
-    ``test_bulk_draws_replay_scalar_calls`` pins this mapping.
-    """
-    k = (hi + 1).bit_length()
-    if hi < 0 or k > 32:
-        raise ValueError(f"hi = {hi} needs one 32-bit word per draw")
-    state = rng.getstate()
-    tops = np.empty(0, dtype=np.int64)
-    kept = tops
-    while len(kept) < count:
-        # each word is kept with probability (hi + 1) / 2^k >= 1/2
-        more = _words(rng, 2 * (count - len(kept)) + 32) >> (32 - k)
-        tops = np.concatenate([tops, more.astype(np.int64)])
-        kept = np.flatnonzero(tops <= hi)
-    rng.setstate(state)
-    rng.getrandbits(32 * (int(kept[count - 1]) + 1 if count else 0))
-    return tops[kept[:count]]
 
 
 def _crossing_counts(g, member) -> np.ndarray:
@@ -201,23 +157,22 @@ def _crossing_counts(g, member) -> np.ndarray:
     return np.count_nonzero(member[:, ends[:, 0]] != member[:, ends[:, 1]], axis=1)
 
 
-def _random_regular(rng: random.Random):
-    """One attempt at a random simple regular graph on <= 10 vertices."""
-    n = rng.randint(4, 10)
-    r = rng.choice([2, 3, 4])
+def _random_regular(rng: np.random.Generator):
+    """One attempt at a random simple regular graph on <= 10 vertices:
+    200 random pairings of r stubs per vertex, of which the first with
+    no loop and no repeated pair wins."""
+    n, r = rng.integers([4, 2], [11, 5]).tolist()
     if r >= n or (n * r) % 2:
         return None
-    stubs = [v for v in range(n) for _ in range(r)]
-    for _ in range(200):
-        rng.shuffle(stubs)
-        seen = set()
-        for u, v in zip(stubs[::2], stubs[1::2]):
-            if u == v or (min(u, v), max(u, v)) in seen:
-                break
-            seen.add((min(u, v), max(u, v)))
-        else:
-            return graphs_mod.from_edge_list(n, sorted(seen), name=f"regular(n={n},r={r})")
-    return None
+    stubs = np.repeat(np.arange(n), r)
+    ends = rng.permuted(np.tile(stubs, (200, 1)), axis=1).reshape(200, -1, 2)
+    u, v = ends.min(axis=2), ends.max(axis=2)
+    codes = np.sort(u * n + v, axis=1)
+    simple = (u != v).all(axis=1) & (np.diff(codes, axis=1) > 0).all(axis=1)
+    if not simple.any():
+        return None
+    edges = [divmod(c, n) for c in codes[simple.argmax()].tolist()]
+    return graphs_mod.from_edge_list(n, edges, name=f"regular(n={n},r={r})")
 
 
 def _ns_corpus():
@@ -298,12 +253,11 @@ def _check_diagram_weight() -> tuple[bool, dict]:
                 return False, {"factors": (h_graph.display_name(), g_graph.display_name()),
                                "heights": heights[bad].tolist()}
             checked += len(heights)
-    rng = random.Random(17)
+    rng = np.random.default_rng(17)
     for big in (graphs_mod.petersen(), graphs_mod.graph_z(2)):
         form, d = delta_mod.nested_solution_form(big)
         product = graphs_mod.cartesian_product(form, form)
-        draws = _randints(rng, big.n, 1000 * big.n).reshape(1000, big.n).tolist()
-        heights = np.array([sorted(row, reverse=True) for row in draws])
+        heights = np.sort(rng.integers(0, big.n + 1, (1000, big.n)), axis=1)[:, ::-1]
         bad = _first_weight_mismatch(product, d, d, heights)
         if bad is not None:
             return False, {"factors": big.display_name(), "heights": heights[bad].tolist()}

@@ -5,11 +5,12 @@ results and assert that the recorded pipelines actually notice.  A
 casebook that cannot fail is not evidence of anything.
 """
 
-import random
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edgeiso.casebook
 import edgeiso.compress
@@ -29,6 +30,7 @@ ALL_IDS = [
     "symmetry-regularity", "power-lex-spot", "power-lex-cube27",
     "power-lex-local-global",
 ]
+SEEDED_IDS = ["regular-identity", "diagram-weight-formula"]
 
 
 def test_claim_catalog_integrity():
@@ -137,44 +139,36 @@ def test_brute_force_claims_check_every_subset_and_diagram():
     assert results["diagram-weight-formula"].artifacts == {"diagrams_checked": 15574}
 
 
-def test_bulk_draws_replay_scalar_calls():
-    # _words and _randints stand for scalar random.Random calls, values
-    # and state both; one pair of generators per seed carries the state
-    # from each draw into the next
-    for seed in range(30):
-        bulk, scalar = random.Random(seed), random.Random(seed)
-        for count in (0, 1, 5, 300):
-            got = edgeiso.casebook._words(bulk, count)
-            assert got.tolist() == [scalar.getrandbits(32) for _ in range(count)]
-            assert bulk.getstate() == scalar.getstate()
-            for hi in (0, 1, 2, 3, 7, 8, 10, 15, 16, 17, 31):
-                got = edgeiso.casebook._randints(bulk, hi, count)
-                assert got.dtype == np.int64
-                assert got.tolist() == [scalar.randint(0, hi) for _ in range(count)]
-                assert bulk.getstate() == scalar.getstate()
+def _record_checked_sets(monkeypatch) -> list:
+    """Patch the vectorized edge counter to record each (graph, member
+    matrix) it is asked to count, in call order."""
+    seen = []
+    real = edgeiso.graphs._edge_counts_many
+
+    def record(g, member):
+        seen.append((g, member.copy()))
+        return real(g, member)
+
+    monkeypatch.setattr(edgeiso.graphs, "_edge_counts_many", record)
+    return seen
 
 
-def test_seeded_claims_draw_the_scalar_inputs(monkeypatch):
-    # the subsets and staircases the two seeded claims check are the ones
-    # scalar draws give, as in test_acceptance criteria 4 and 6
-    members, staircases = [], []
-    real_counts = edgeiso.graphs._edge_counts_many
+def test_seeded_claims_draw_the_generator_inputs(monkeypatch):
+    # the subsets and staircases the two seeded claims check are the
+    # draws of np.random.default_rng(41) and (17), made in this order
+    members = _record_checked_sets(monkeypatch)
+    staircases = []
     real_mismatch = edgeiso.casebook._first_weight_mismatch
-
-    def record_members(g, member):
-        members.append((g, member.copy()))
-        return real_counts(g, member)
 
     def record_heights(product, dh, dg, heights):
         staircases.append(heights.copy())
         return real_mismatch(product, dh, dg, heights)
 
-    monkeypatch.setattr(edgeiso.graphs, "_edge_counts_many", record_members)
     monkeypatch.setattr(edgeiso.casebook, "_first_weight_mismatch", record_heights)
-    results = run_casebook(["regular-identity", "diagram-weight-formula"])
+    results = run_casebook(SEEDED_IDS)
     assert [r.status for r in results] == ["pass", "pass"]
 
-    rng = random.Random(41)
+    rng = np.random.default_rng(41)
     graphs = list(edgeiso.casebook._regular_corpus())
     while len(graphs) < 54:
         g = edgeiso.casebook._random_regular(rng)
@@ -182,16 +176,50 @@ def test_seeded_claims_draw_the_scalar_inputs(monkeypatch):
             graphs.append(g)
     for g, (seen, member) in zip(graphs, members[:54], strict=True):
         assert seen.edges() == g.edges()
-        masks = [rng.getrandbits(g.n) for _ in range(1000)]
-        assert member.tolist() == [[bool(m >> v & 1) for v in range(g.n)] for m in masks]
+        assert member.dtype == bool
+        assert np.array_equal(member, rng.integers(0, 2, (1000, g.n), dtype=bool))
 
     # Petersen squared, then Z(2) squared, after the 225 factor boxes
     assert len(staircases) == 227
-    rng = random.Random(17)
+    rng = np.random.default_rng(17)
     for n, heights in zip((10, 17), staircases[-2:]):
         assert heights.dtype == np.int64
-        assert heights.tolist() == [
-            sorted((rng.randint(0, n) for _ in range(n)), reverse=True) for _ in range(1000)]
+        draws = rng.integers(0, n + 1, (1000, n))
+        assert np.array_equal(heights, -np.sort(-draws, axis=1))
+
+
+def test_seeded_claims_draw_alike_in_either_order(monkeypatch):
+    # the casebook workload shuffles claim order, so each seeded claim
+    # must check the same sets after the other as when run alone
+    seen = _record_checked_sets(monkeypatch)
+
+    def checked(ids):
+        seen.clear()
+        assert {r.status for r in run_casebook(ids)} == {"pass"}
+        return [(g.edges(), member) for g, member in seen]
+
+    alone = {claim: checked([claim]) for claim in SEEDED_IDS}
+    for ids in (SEEDED_IDS, SEEDED_IDS[::-1]):
+        got = checked(ids)
+        want = alone[ids[0]] + alone[ids[1]]
+        assert len(got) == len(want)
+        for (edges, member), (want_edges, want_member) in zip(got, want):
+            assert edges == want_edges
+            assert np.array_equal(member, want_member)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**64 - 1))
+def test_random_regular_draws_simple_regular_graphs(seed):
+    g = edgeiso.casebook._random_regular(np.random.default_rng(seed))
+    if g is None:
+        return
+    # Graph refuses a loop and merges a repeated pair, which would leave
+    # two vertices one edge short of the drawn degree
+    assert 4 <= g.n <= 10
+    regular, r = edgeiso.graphs.is_regular(g)
+    assert regular and r in (2, 3, 4)
+    assert g.display_name() == f"regular(n={g.n},r={r})"
 
 
 def test_regular_identity_detects_a_consistent_miscount(monkeypatch):
@@ -215,10 +243,15 @@ def test_regular_identity_counts_the_boundary_apart(monkeypatch):
         return real(g, member) - 2 * member.any(axis=1)
 
     monkeypatch.setattr(edgeiso.casebook, "_crossing_counts", miscount)
+    members = _record_checked_sets(monkeypatch)
     result = run_casebook(["regular-identity"])[0]
     assert result.status == "fail"
     assert result.artifacts["graph"] == "petersen"
-    assert int(result.artifacts["mask"], 16) != 0
+    # the mask is the first non-empty subset drawn for Petersen, bit v for vertex v
+    g, member = members[0]
+    first = member[member.any(axis=1)][0]
+    mask = int(result.artifacts["mask"], 16)
+    assert [bool(mask >> v & 1) for v in range(g.n)] == first.tolist()
 
 
 def test_diagram_weight_detects_a_wrong_column_weight(monkeypatch):
@@ -255,9 +288,9 @@ def test_diagram_weight_detects_a_direct_miscount(monkeypatch, faulty_n):
     if faulty_n is None:
         expected = {"factors": ("complete(2)", "complete(2)"), "heights": [2, 2]}
     else:
-        rng = random.Random(17)
-        first = sorted((rng.randint(0, 10) for _ in range(10)), reverse=True)
-        expected = {"factors": "petersen", "heights": first}
+        draws = np.random.default_rng(17).integers(0, 11, (1000, 10))
+        first = -np.sort(-draws[0])
+        expected = {"factors": "petersen", "heights": first.tolist()}
     assert result.artifacts == expected
 
 

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from edgeiso import compress
+from edgeiso import compress, delta
 from edgeiso.cli import (EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_CLOSED_PIPE,
                          EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main)
 
@@ -46,6 +46,26 @@ def test_delta_json_round_trip(capsys):
     assert payload["regular"] is True
     assert payload["crosscheck_consistent"] is True
     assert json.loads(json.dumps(payload)) == payload
+
+
+def test_delta_symmetry_is_checked_once(capsys, monkeypatch):
+    # a wrong symmetry verdict is printed and fails the crosscheck, from
+    # one and the same call
+    calls = []
+    real = delta.is_symmetric
+
+    def inverted(d):
+        calls.append(d)
+        check = real(d)
+        return check._replace(ok=not check.ok)
+
+    monkeypatch.setattr(delta, "is_symmetric", inverted)
+    code, payload, _ = run_json(capsys, "delta", "petersen", "--json")
+    assert code == EXIT_CHECK_FAILED
+    assert payload["symmetric"] is False
+    assert payload["regular"] is True
+    assert payload["crosscheck_consistent"] is False
+    assert len(calls) == 1
 
 
 def test_delta_without_ns_mentions_it(capsys):

@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("casebook", cmd_casebook, "re-run the recorded claims")
     p.add_argument("--claim", action="append", help="run only this claim id (repeatable)")
     p.add_argument("--list", action="store_true", help="list claim ids and statements")
-    p.add_argument("--max-seconds", type=int, default=120, dest="max_seconds",
+    p.add_argument("--max-seconds", type=_at_least(0), default=120, dest="max_seconds",
                    help="time budget; slow claims outside it are reported as skipped")
 
     return parser

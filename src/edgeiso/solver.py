@@ -20,10 +20,13 @@ Two scan strategies exist and must agree bit for bit:
                       then walked in Gray order of their high bits, so
                       each step adds or subtracts one precomputed row
                       in place and reads the per-size extremes with one
-                      segmented reduction.  One thread walks every
-                      block; Gray order is not mask order, so each
-                      size keeps its best as a (value, mask) key and a
-                      tie keeps the least mask.
+                      segmented reduction.  A size's witness in a block
+                      is the least low mask whose entry equals the
+                      extreme, picked by value, so the order of the
+                      masks within a popcount segment never matters.
+                      One thread walks every block; Gray order is not
+                      mask order, so each size keeps its best as a
+                      (value, mask) key and a tie keeps the least mask.
 
 Witness ties always resolve to the numerically smallest bit mask, which
 is what makes the strategies comparable.  The brute reference oracles
@@ -299,8 +302,7 @@ def _half_tables(spelled: np.ndarray, rows: int, first: int, bits: int):
     """Over the bits first..first+bits-1: the subset sums of every row of
     ``spelled`` in mask order, whose last row must be all ones, so that
     the last sums are popcounts; the first ``rows`` of them and the
-    masks, both sorted by popcount (stably, so the masks ascend within
-    one); and the bounds of each popcount."""
+    masks, both grouped by popcount; and the bounds of each popcount."""
     sums = _subset_sums(spelled, first, bits)
     order = np.argsort(sums[-1], kind="stable")
     bounds = list(itertools.accumulate((math.comb(bits, c) for c in range(bits + 1)),
@@ -309,21 +311,20 @@ def _half_tables(spelled: np.ndarray, rows: int, first: int, bits: int):
 
 
 def _low_tables(adj, weights: list, k: int, dtype):
-    """(order, ind0, sums, pieces): tables over the low masks x < 2^k,
+    """(order, ind0, sums, bounds): tables over the low masks x < 2^k,
     grouped by popcount, in ``dtype``; ``weights`` is a list of rows of
     k weights.
 
-    ``order`` lists the masks: segment c holds the c-subsets, and
-    ``pieces[c]`` lists its pieces as (start, stop).  The k bits split
-    into a low half of min(k, _HALF_BITS) bits and a high half of the
-    rest, each sorted by popcount.  Over q ascending, segment c's pieces
-    are the high-half masks of popcount q (outer) times the low-half
-    masks of popcount c - q (inner), so a piece's masks ascend and a
-    segment's in general do not.  ``sums[r, i]`` is the sum of
-    ``weights[r][j]`` over the bits j of ``order[i]``, and ``ind0[i]`` is
-    twice the edges inside ``order[i]``.  Each piece of ``order`` and of
-    every row of ``sums`` is one broadcast add of the halves' sorted
-    tables; ``ind0`` is one gather.
+    ``order`` lists the masks: segment c, ``order[bounds[c]:bounds[c + 1]]``,
+    holds exactly the c-subsets, in no promised order.
+    ``sums[r, i]`` is the sum of ``weights[r][j]`` over the bits j of
+    ``order[i]``, and ``ind0[i]`` is twice the edges inside ``order[i]``.
+    The k bits split into a low half of min(k, _HALF_BITS) bits and a high
+    half of the rest, each grouped by popcount.  Over q ascending, segment
+    c is built in pieces: the high-half masks of popcount q times the
+    low-half masks of popcount c - q, each one broadcast add of the
+    halves' grouped tables for ``order`` and for every row of ``sums``;
+    ``ind0`` is one gather.
     """
     rows = len(weights)
     low = min(k, _HALF_BITS)
@@ -363,10 +364,9 @@ def _low_tables(adj, weights: list, k: int, dtype):
     lows = [(lsum[:, None, lb[p]:lb[p + 1]], lmask[lb[p]:lb[p + 1]]) for p in range(low + 1)]
     highs = [(hsum[:, hb[q]:hb[q + 1], None], hmask[hb[q]:hb[q + 1], None])
              for q in range(k - low + 1)]
-    pieces = []
-    at = 0
+    bounds = [0]
     for c in range(k + 1):
-        segment = []
+        at = bounds[-1]
         for q in range(max(0, c - low), min(c, k - low) + 1):
             (hs, hm), (ls, lm) = highs[q], lows[c - q]
             shape = (len(hm), len(lm))
@@ -374,10 +374,9 @@ def _low_tables(adj, weights: list, k: int, dtype):
             np.add(hm, lm, order[at:end].reshape(shape))
             if rows:
                 np.add(hs, ls, sums[:, at:end].reshape(rows, *shape))
-            segment.append((at, end))
             at = end
-        pieces.append(segment)
-    return order, induced.take(order), sums, pieces
+        bounds.append(at)
+    return order, induced.take(order), sums, bounds
 
 
 def _scan_blocks(g: Graph, degree: int | None = None):
@@ -403,32 +402,18 @@ def _scan_blocks(g: Graph, degree: int | None = None):
     weights = [[2 * (adj[v] >> u & 1) for u in range(k)] for v in range(k, k + walked)]
     if boundary:
         weights.append(deg[:k])
-    order, ind, sums, pieces = _low_tables(adj, weights, k,
+    order, ind, sums, bounds = _low_tables(adj, weights, k,
                                            _table_type(2 * g.edge_count(), boundary))
     rows = sums[:walked]
     bnd = sums[walked] - ind if boundary else None
-    starts = np.array([segment[0][0] for segment in pieces])
+    starts = np.array(bounds[:-1])
 
-    def extreme_mask(table, c: int, top: int, reduce, greatest: bool = False) -> int:
+    def extreme_mask(table, c: int, top: int, greatest: bool = False) -> int:
         """The least (or greatest) low mask of segment c whose entry is
-        ``top``, the segment's np.maximum or np.minimum (``reduce``).
-        Each piece ascends, so its first (last) extreme entry is its
-        least (greatest) mask; only pieces that reach ``top`` are
-        searched."""
-        first = np.ndarray.argmax if reduce is np.maximum else np.ndarray.argmin
-        found = []
-        segment = pieces[c]
-        if len(segment) > 1:
-            first_lo = segment[0][0]
-            bests = reduce.reduceat(table[first_lo:segment[-1][1]],
-                                    [lo - first_lo for lo, _ in segment]).tolist()
-            segment = [piece for piece, best in zip(segment, bests) if best == top]
-        for lo, stop in segment:
-            if greatest:
-                found.append(int(order[stop - 1 - int(first(table[lo:stop][::-1]))]))
-            else:
-                found.append(int(order[lo + int(first(table[lo:stop]))]))
-        return max(found) if greatest else min(found)
+        ``top``."""
+        lo, stop = bounds[c], bounds[c + 1]
+        found = order[lo:stop][table[lo:stop] == top]
+        return int(found.max() if greatest else found.min())
 
     # With ``mirror``, walked block H also settles its complement block:
     # that block's best at size n - s is E - r*s plus H's best at s, and
@@ -470,18 +455,18 @@ def _scan_blocks(g: Graph, degree: int | None = None):
             s = pch + c
             key = (-(top // 2 + ih), full)
             if key < best_i[s]:
-                best_i[s] = (key[0], full | extreme_mask(ind, c, top, np.maximum))
+                best_i[s] = (key[0], full | extreme_mask(ind, c, top))
             if mirror:
                 twin = (key[0] + degree * s - edge_total, twin_full)
                 if twin < best_i[n - s]:
-                    last = extreme_mask(ind, c, top, np.maximum, greatest=True)
+                    last = extreme_mask(ind, c, top, greatest=True)
                     best_i[n - s] = (twin[0], twin_full | (low_all ^ last))
         if not boundary:
             continue
         for c, low in enumerate(np.minimum.reduceat(bnd, starts).tolist()):
             key = (low + dh - 2 * ih, full)
             if key < best_t[pch + c]:
-                best_t[pch + c] = (key[0], full | extreme_mask(bnd, c, low, np.minimum))
+                best_t[pch + c] = (key[0], full | extreme_mask(bnd, c, low))
 
     induced, induced_witness = [-v for v, _ in best_i], [w for _, w in best_i]
     if not boundary:

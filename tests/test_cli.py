@@ -202,11 +202,12 @@ def test_uniqueness_dense_inexact_count_is_a_bound(capsys, monkeypatch):
     ("orders", "complete(4)", "--cap", "-1"),
     ("uniqueness", "z(2)", "--cap-chains", "-1"),
     ("uniqueness", "z(2)", "--count-limit", "0"),
+    ("casebook", "--max-seconds", "-1"),
 ])
 def test_nonsense_counts_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
-    assert out == "" and f"argument {argv[2]}: must be at least" in err
+    assert out == "" and f"argument {argv[-2]}: must be at least" in err
 
 
 def test_lex2_pass_and_fail(capsys):

@@ -223,20 +223,16 @@ def bit_matrix(masks, k):
 
 def check_low_tables(adj, weights, k, dtype):
     import edgeiso.solver as solver
-    order, ind0, sums, pieces = solver._low_tables(adj, weights, k, dtype)
+    order, ind0, sums, bounds = solver._low_tables(adj, weights, k, dtype)
     assert ind0.dtype == sums.dtype == dtype
     assert np.array_equal(np.sort(order), np.arange(1 << k))
-    # segment c is contiguous, holds comb(k, c) masks of popcount c (so
-    # exactly the c-subsets), and each of its pieces ascends
-    at = 0
-    for c, segment in enumerate(pieces):
-        assert segment[0][0] == at and sum(stop - lo for lo, stop in segment) == math.comb(k, c)
-        for lo, stop in segment:
-            assert lo == at
-            piece = order[lo:stop]
-            assert (np.diff(piece) > 0).all() and (bit_matrix(piece, k).sum(axis=1) == c).all()
-            at = stop
-    assert at == 1 << k
+    # segment c is contiguous and holds comb(k, c) masks of popcount c, so
+    # exactly the c-subsets
+    assert len(bounds) == k + 2 and bounds[0] == 0 and bounds[-1] == 1 << k
+    for c in range(k + 1):
+        lo, stop = bounds[c], bounds[c + 1]
+        assert stop - lo == math.comb(k, c)
+        assert (bit_matrix(order[lo:stop], k).sum(axis=1) == c).all()
     bits = bit_matrix(order, k)
     assert np.array_equal(sums, (bits @ np.array(weights, dtype=np.int64).reshape(-1, k).T).T)
     lower = bit_matrix(adj[:k], k) * (np.arange(k) < np.arange(k)[:, None])
@@ -432,9 +428,9 @@ def test_mirrored_block_walk_matches_brute_oracles(g, data):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_split_popcount_layout_matches_brute_oracles(data):
-    # A low half narrower than the block splits each popcount segment into
-    # pieces that ascend on their own, so the witness search runs over
-    # several pieces at brute-oracle sizes, mirrored blocks included.
+    # A low half narrower than the block builds each popcount segment from
+    # several pieces, so its masks leave mask order at brute-oracle sizes,
+    # mirrored blocks included.
     import edgeiso.solver as solver
     if data.draw(st.booleans()):
         g = data.draw(mirrored_regular_graphs())
@@ -454,11 +450,51 @@ def test_split_popcount_layout_matches_brute_oracles(data):
             list(prof.boundary_witness)) == brute_witnesses(g.n, edges)
 
 
+def shuffled_low_tables(monkeypatch, seed):
+    """Patch ``_low_tables`` to permute the masks of each popcount segment
+    at random, moving ``ind0`` and every row of ``sums`` with them."""
+    import edgeiso.solver as solver
+    real = solver._low_tables
+    rng = np.random.default_rng(seed)
+
+    def low_tables(adj, weights, k, dtype):
+        order, ind0, sums, bounds = real(adj, weights, k, dtype)
+        moved = np.concatenate([lo + rng.permutation(stop - lo)
+                                for lo, stop in zip(bounds, bounds[1:])])
+        return order[moved], ind0[moved], sums[:, moved], bounds
+
+    monkeypatch.setattr(solver, "_low_tables", low_tables)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_witnesses_do_not_depend_on_the_order_within_a_segment(data):
+    # The layout promises only that segment c holds the c-subsets, so any
+    # order within a segment must give the same tables and least-mask
+    # witnesses, through the mirrored walk and the two-table walk alike.
+    if data.draw(st.booleans()):
+        g = data.draw(mirrored_regular_graphs().filter(lambda g: g.n <= 10))
+    else:
+        n = data.draw(st.integers(2, 10))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = from_edge_list(n, [pair for pair, kept in zip(pairs, keep) if kept])
+    low_bits = data.draw(st.integers(1, g.n))
+    with pytest.MonkeyPatch.context() as mp:
+        shuffled_low_tables(mp, data.draw(st.integers(0, 2 ** 32 - 1)))
+        prof = narrow_profile(g, low_bits)
+    edges = g.edges()
+    assert (list(prof.induced), list(prof.boundary)) == brute_tables(g.n, edges)
+    assert (list(prof.induced_witness),
+            list(prof.boundary_witness)) == brute_witnesses(g.n, edges)
+
+
 # A cubic graph on 10 vertices, not vertex-transitive: its two optimal
 # 7-sets both hold vertex 9, the one high vertex at 9 low bits, so the
 # 7-set witness comes from a mirrored block.  With a low half of 2, 4 or
 # 5 bits, the greatest maximizer of the walked block's 3-subsets is not in
-# the last piece of its segment that reaches the top.
+# the last piece of its segment that reaches the top, so a search that
+# trusted the layout would miss it.
 CUBIC_10 = [(0, 1), (0, 6), (0, 9), (1, 3), (1, 8), (2, 4), (2, 5), (2, 7), (3, 8), (3, 9),
             (4, 6), (4, 8), (5, 7), (5, 9), (6, 7)]
 

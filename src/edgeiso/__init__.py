@@ -1,6 +1,6 @@
 """Exact edge-isoperimetric toolkit for small graphs and their products."""
 
-from .compress import (Diagram, DiagramOptimizer, diagram_weight,
+from .compress import (DiagramOptimizer, diagram_weight,
                        enumerate_compressed_optimal_orders, power_lex_check,
                        verify_lex_square)
 from .delta import (DeltaSequence, delta_of, gap_check, is_delta_dense,

@@ -5,7 +5,9 @@ orders (every initial segment 0..m-1 is an optimal set).  A subset of
 the product H x G is *compressed* when every row and every column it
 meets is an initial segment.  Such a set is a staircase diagram: column
 x holds the cells (x, 0..h_x - 1) and the heights h_0 >= h_1 >= ... are
-non-increasing.
+non-increasing.  Here a staircase is its column heights alone, n_h ints
+in a sequence or in one row of an int array; ``staircase_members`` is
+the one map from heights to product vertices.
 
 For a compressed set the induced-edge count decomposes cell by cell,
 
@@ -56,73 +58,13 @@ _NEG = -(1 << 50)  # impossible-state sentinel for the DP tables
 MAX_DP_CELLS = 1 << 26
 
 
-class Diagram:
-    """A staircase of cells inside an n_h x n_g box.
-
-    ``heights[x]`` is the number of cells in column x; heights are
-    validated to be integers, non-increasing and within the box.
-    """
-
-    __slots__ = ("heights", "box")
-
-    def __init__(self, heights, box: tuple[int, int]):
-        hs = tuple(heights)
-        try:
-            hs = tuple(map(operator.index, hs))  # a float would pass the range checks
-        except TypeError:
-            raise InputError(f"column heights must be integers, got {hs}")
-        nh, ng = box
-        if len(hs) != nh:
-            raise InputError(f"need {nh} column heights, got {len(hs)}")
-        for x, h in enumerate(hs):
-            if not 0 <= h <= ng:
-                raise InputError(f"column {x} height {h} outside 0..{ng}")
-            if x and h > hs[x - 1]:
-                raise InputError(f"heights must be non-increasing, got {hs}")
-        self.heights = hs
-        self.box = (nh, ng)
-
-    @classmethod
-    def _unchecked(cls, heights: tuple[int, ...], box: tuple[int, int]) -> "Diagram":
-        """A diagram from heights its caller already bounds: n_h of them,
-        non-increasing, within the box.  Public construction validates."""
-        diagram = object.__new__(cls)
-        diagram.heights = heights
-        diagram.box = box
-        return diagram
-
-    @property
-    def size(self) -> int:
-        return sum(self.heights)
-
-    def product_mask(self) -> int:
-        """Bit mask of the cells under the (x, y) -> x * n_g + y labeling."""
-        nh, ng = self.box
-        mask = 0
-        for x, h in enumerate(self.heights):
-            mask |= ((1 << h) - 1) << (x * ng)
-        return mask
-
-    def serialize(self) -> str:
-        return ",".join(map(str, self.heights))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Diagram) and (self.heights, self.box) == (other.heights, other.box)
-
-    def __hash__(self) -> int:
-        return hash((self.heights, self.box))
-
-    def __repr__(self) -> str:
-        return f"Diagram({self.serialize()})"
-
-
 def staircase_members(heights, ng: int) -> np.ndarray:
     """Product-vertex membership of many staircases at once.
 
     ``heights`` is a (k x n_h) array, one staircase's column heights per
     row.  Row i of the (k x n_h * n_g) boolean result marks the cells of
-    staircase i under ``Diagram.product_mask``'s labeling: cell (x, y) is
-    vertex x * n_g + y, and it is in the set iff y < heights[i, x].
+    staircase i: cell (x, y) is product vertex x * n_g + y, and it is in
+    the set iff y < heights[i, x].
     """
     heights = np.asarray(heights)
     k, nh = heights.shape
@@ -137,14 +79,30 @@ def _column_weights(dh: DeltaSequence, dg: DeltaSequence) -> np.ndarray:
     return gain_h[:, None] * np.arange(len(dg) + 1) + prefix_g
 
 
-def diagram_weight(dh: DeltaSequence, dg: DeltaSequence, diagram: Diagram) -> int:
-    """Cell-sum weight of a diagram; equals the induced-edge count of
+def _staircase(heights, nh: int, ng: int) -> tuple[int, ...]:
+    """``heights`` as ints, checked to be a staircase in the n_h x n_g
+    box: n_h integers in 0..n_g, none above the one before it."""
+    hs = tuple(heights)
+    try:
+        hs = tuple(map(operator.index, hs))  # a float would pass the range checks
+    except TypeError:
+        raise InputError(f"column heights must be integers, got {hs}")
+    if len(hs) != nh:
+        raise InputError(f"need {nh} column heights, got {len(hs)}")
+    for x, h in enumerate(hs):
+        if not 0 <= h <= ng:
+            raise InputError(f"column {x} height {h} outside 0..{ng}")
+        if x and h > hs[x - 1]:
+            raise InputError(f"heights must be non-increasing, got {hs}")
+    return hs
+
+
+def diagram_weight(dh: DeltaSequence, dg: DeltaSequence, heights) -> int:
+    """Cell-sum weight of the staircase with these column heights, checked
+    to lie in the len(dh) x len(dg) box; equals the induced-edge count of
     the matching set in the product of the two source graphs."""
     nh, ng = len(dh), len(dg)
-    if diagram.box != (nh, ng):
-        raise InputError(
-            f"diagram box {diagram.box} does not match factors {nh}x{ng}")
-    return int(_column_weights(dh, dg)[np.arange(nh), diagram.heights].sum())
+    return int(_column_weights(dh, dg)[np.arange(nh), _staircase(heights, nh, ng)].sum())
 
 
 def _column_tables(dh: DeltaSequence, dg: DeltaSequence):
@@ -210,9 +168,10 @@ class DiagramOptimizer:
     def optima(self) -> list[int]:
         return [int(v) for v in self.tables[0][:, self.ng]]
 
-    def witnesses(self, sizes) -> list[Diagram]:
-        """For every m in ``sizes``, in the same order, the
-        lexicographically least height vector among the optima of size m.
+    def witnesses(self, sizes) -> np.ndarray:
+        """The (len(sizes) x n_h) int64 array whose row i is, for m =
+        sizes[i], the lexicographically least height vector among the
+        optima of size m.
 
         All sizes walk the columns together: at column x each takes the
         least height h <= min(cap, remaining) with colw[x][h] +
@@ -227,7 +186,7 @@ class DiagramOptimizer:
         remaining = np.array(sizes, dtype=np.int64)
         cap = np.full(len(sizes), self.ng, dtype=np.int64)
         hs = np.arange(self.ng + 1)
-        heights = np.empty((self.nh, len(sizes)), dtype=np.int64)
+        heights = np.empty((len(sizes), self.nh), dtype=np.int64)
         for x in range(self.nh):
             want = self.tables[x][remaining, cap]
             allowed = hs <= np.minimum(cap, remaining)[:, None]
@@ -237,12 +196,11 @@ class DiagramOptimizer:
             h = hit.argmax(axis=1)
             if not hit.any(axis=1).all():  # tables are exact unless corrupted
                 raise RuntimeError("diagram witness reconstruction failed")
-            heights[x] = h
+            heights[:, x] = h
             remaining -= h
             cap = h
         # each h <= cap, the height before it, and h <= ng: the rows are staircases
-        box = (self.nh, self.ng)
-        return [Diagram._unchecked(tuple(row), box) for row in heights.T.tolist()]
+        return heights
 
 
 # ============================================================
@@ -280,10 +238,13 @@ class ChainSurvey(NamedTuple):
 
     @property
     def exactly_lex_and_colex(self) -> bool:
-        """Are lex and colex the only optimal chains?  Decided only by a
-        survey that lists at least 2 chains and counts to at least 3."""
-        return (self.exact and self.total == 2
-                and sorted(self.classifications) == ["colex", "lex"])
+        """Is the set of optimal chains {lex, colex}?  In a box of one row
+        or one column the two are one chain.  Decided only by a survey
+        that lists every chain, so at least 2, and counts to at least 3."""
+        if not (self.exact and self.chains and len(self.chains) == self.total):
+            return False
+        x, y = self.chains[0][-1]  # every full chain ends at the box's far corner
+        return set(self.chains) == {_lex_cells(x + 1, y + 1), _colex_cells(x + 1, y + 1)}
 
 
 def enumerate_compressed_optimal_orders(g: Graph, cap: int = 10,
@@ -367,7 +328,7 @@ def _lex_power_rows(dg: DeltaSequence, d: int) -> tuple[int, tuple[SizeCheck, ..
     a nested-solution order there and its prefix differences are the
     left factor's delta; the diagram DP then gives the exact optimum of
     g^k per size.  Returns (2, rows) when lex fails on the square, a
-    failing row's witness the serialized optimal diagram, or (d, rows
+    failing row's witness the optimal heights joined by commas, or (d, rows
     of g^d).  Only the square keeps its full table set, for witnesses:
     by Ahlswede and Cai's local-global principle, lex optimal on g^2 is
     optimal on every power, so a later failing power is a solver bug.
@@ -389,8 +350,8 @@ def _lex_power_rows(dg: DeltaSequence, d: int) -> tuple[int, tuple[SizeCheck, ..
             raise RuntimeError(f"lex fails on power {k} after passing on the square, "
                                f"against Ahlswede-Cai; solver bug")
         if failing:
-            found = iter(square.witnesses(failing))
-            return k, tuple(row if row.ok else row._replace(witness=next(found).serialize())
+            found = (",".join(map(str, hs)) for hs in square.witnesses(failing).tolist())
+            return k, tuple(row if row.ok else row._replace(witness=next(found))
                             for row in rows)
         dh = DeltaSequence(steps)
     return d, rows

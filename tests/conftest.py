@@ -14,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from edgeiso.compress import _NEG, Diagram
+from edgeiso.compress import _NEG
 from edgeiso.errors import InputError
 from edgeiso.graphs import (Graph, as_mask, bit_indices, cartesian_product, from_edge_list,
                             graph_union, graph_z, induced_edges)
@@ -184,9 +184,10 @@ def height_chain_survey(dh, dg, cap, count_limit):
     return total, total < limit, chains, kinds
 
 
-def compress_set(h_graph: Graph, g_graph: Graph, cells) -> Diagram:
+def compress_set(h_graph: Graph, g_graph: Graph, cells) -> tuple[int, ...]:
     """Push a product set into diagram form without losing edges: the
-    compression lemma, run until fixpoint.
+    compression lemma, run until fixpoint.  Returns the staircase's
+    column heights.
 
     ``cells`` is an iterable of (x, y) pairs, or a bit mask over the
     product labeling x * n_g + y.  Both factor
@@ -233,12 +234,19 @@ def compress_set(h_graph: Graph, g_graph: Graph, cells) -> Diagram:
     heights = [0] * nh
     for x, _ in pairs:
         heights[x] += 1
-    diagram = Diagram(heights, (nh, ng))
-    after = induced_edges(product, diagram.product_mask())
-    if diagram.size != len(pairs) or after < before:
+    if heights != sorted(heights, reverse=True):  # pragma: no cover - rows are initial segments
+        raise RuntimeError("compression stopped short of a staircase")
+    after = induced_edges(product, staircase_mask(heights, ng))
+    if after < before:
         raise RuntimeError(
             "compression lost edges; factor labels are not nested-solution orders")
-    return diagram
+    return tuple(heights)
+
+
+def staircase_mask(heights, ng: int) -> int:
+    """Bit mask of a staircase's cells under the product labeling
+    x * n_g + y: column x holds the cells (x, 0..heights[x] - 1)."""
+    return _pairs_mask(((x, y) for x, h in enumerate(heights) for y in range(h)), ng)
 
 
 def _pairs_mask(pairs, ng: int) -> int:

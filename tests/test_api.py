@@ -12,7 +12,7 @@ import edgeiso
 from edgeiso import casebook, compress, graphs, solver
 
 PUBLIC = {
-    "CapacityError", "DeltaSequence", "Diagram", "DiagramOptimizer", "Graph",
+    "CapacityError", "DeltaSequence", "DiagramOptimizer", "Graph",
     "InputError", "IsoProfile", "NsRequiredError", "boundary_edges",
     "cartesian_power", "cartesian_product", "complete", "cross_edges", "cycle",
     "degrees", "delta_of", "diagram_weight", "empty_graph",
@@ -31,7 +31,7 @@ REMOVED = [
     (edgeiso, "CompressedChain"), (compress, "CompressedChain"),
     (edgeiso, "lex_chain"), (compress, "lex_chain"),
     (edgeiso, "colex_chain"), (compress, "colex_chain"),
-    (edgeiso.Diagram, "parse"), (casebook, "claim_ids"),
+    (edgeiso, "Diagram"), (compress, "Diagram"), (casebook, "claim_ids"),
     (graphs, "format_edge_list"), (solver.OrderReport, "to_dict"),
 ]
 

@@ -179,6 +179,14 @@ def test_uniqueness_verdict_ignores_chain_cap(capsys, listed):
     assert len(payload["classifications"]) == int(listed)
 
 
+@pytest.mark.parametrize("expr", ["complete(1)", "empty(1)"])
+def test_uniqueness_one_vertex(capsys, expr):
+    # the 1 x 1 box has one chain, and it is both lex and colex
+    code, out, _ = run_cli(capsys, "uniqueness", expr)
+    assert code == EXIT_OK
+    assert out == f"{expr} squared: 1 compressed optimal orders; exactly lex and colex: True\n"
+
+
 @pytest.mark.parametrize("limit", ["1", "2"])
 def test_uniqueness_verdict_ignores_count_limit(capsys, limit):
     # the verdict counts past two however low the limit

@@ -1,4 +1,4 @@
-"""Diagrams, the column DP, compression, chains, and order reports."""
+"""Staircases, the column DP, compression, chains, and order reports."""
 
 import random
 import time
@@ -9,9 +9,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import column_tables_by_row, compress_set
+from conftest import column_tables_by_row, compress_set, staircase_mask
 import edgeiso.compress
-from edgeiso.compress import (_NEG, Diagram, DiagramOptimizer, _classify_chain,
+from edgeiso.compress import (_NEG, DiagramOptimizer, _classify_chain,
                               _colex_cells, _column_tables, _lex_cells, diagram_weight,
                               enumerate_compressed_optimal_orders, power_lex_check,
                               staircase_members, verify_lex_square)
@@ -51,32 +51,33 @@ def delta_for(g):
 
 
 # ------------------------------------------------------------
-# Diagram
+# Staircases as column heights
 # ------------------------------------------------------------
 
 def test_diagram_validation():
-    Diagram((3, 2, 0), (3, 3))
-    with pytest.raises(InputError):
-        Diagram((3, 2), (3, 3))
-    with pytest.raises(InputError):
-        Diagram((4, 0, 0), (3, 3))
-    with pytest.raises(InputError):
-        Diagram((1, 2, 0), (3, 3))
+    d = delta_for(complete(3))
+    assert diagram_weight(d, d, (3, 2, 0)) == 6  # a triangle, an edge and 2 rungs
+    with pytest.raises(InputError, match="need 3 column heights"):
+        diagram_weight(d, d, (3, 2))
+    with pytest.raises(InputError, match="outside 0..3"):
+        diagram_weight(d, d, (4, 0, 0))
+    with pytest.raises(InputError, match="non-increasing"):
+        diagram_weight(d, d, (1, 2, 0))
 
 
 def test_diagram_rejects_non_integer_heights():
     # 1.5 lies within 0..n_g and keeps the heights non-increasing
+    d = delta_for(complete(2))
     for heights in ((1.5, 0), (2, "1"), (None, 0)):
         with pytest.raises(InputError, match="must be integers"):
-            Diagram(heights, (2, 2))
-    assert Diagram((np.int64(2), True), (2, 2)).heights == (2, 1)
+            diagram_weight(d, d, heights)
+    assert diagram_weight(d, d, (np.int64(2), True)) == diagram_weight(d, d, (2, 1))
 
 
 def test_diagram_cells_and_mask():
-    d = Diagram((2, 1, 0), (3, 3))
-    assert d.size == 3
     # labels x * 3 + y: cells 0, 1, 3
-    assert d.product_mask() == 0b1011
+    assert staircase_mask((2, 1, 0), 3) == 0b1011
+    assert np.flatnonzero(staircase_members([(2, 1, 0)], 3)[0]).tolist() == [0, 1, 3]
 
 
 @pytest.mark.parametrize("box", [(1, 1), (3, 3), (2, 5), (4, 2), (0, 3), (3, 0)])
@@ -86,14 +87,8 @@ def test_staircase_members_match_product_masks(box):
     member = staircase_members(heights, ng)
     assert member.shape == (len(heights), nh * ng)
     for hs, row in zip(heights, member.tolist()):
-        mask = Diagram(hs, box).product_mask()
+        mask = staircase_mask(hs, ng)
         assert row == [bool(mask >> v & 1) for v in range(nh * ng)]
-
-
-def test_diagram_serialization():
-    d = Diagram((4, 1, 0), (3, 4))
-    assert d.serialize() == "4,1,0"
-    assert repr(d) == "Diagram(4,1,0)"
 
 
 def test_prefix_constructors():
@@ -113,11 +108,10 @@ def test_prefixes_match_chains():
         for m in range(nh * ng + 1):
             full, part = divmod(m, ng)
             heights = ([ng] * full + [part] + [0] * nh)[:nh]
-            # a Diagram is validated as a staircase inside the box
-            assert Diagram(heights_after(lex, m, nh), (nh, ng)) == Diagram(heights, (nh, ng))
+            assert heights_after(lex, m, nh) == tuple(heights)
             full, part = divmod(m, nh)
             heights = [full + 1] * part + [full] * (nh - part)
-            assert Diagram(heights_after(colex, m, nh), (nh, ng)) == Diagram(heights, (nh, ng))
+            assert heights_after(colex, m, nh) == tuple(heights)
 
 
 # ------------------------------------------------------------
@@ -132,9 +126,8 @@ def test_diagram_weight_equals_direct_count():
             dg = delta_for(g_graph)
             product = cartesian_product(h_graph, g_graph)
             for heights in all_heights(h_graph.n, g_graph.n):
-                diagram = Diagram(heights, (h_graph.n, g_graph.n))
-                expected = induced_edges(product, diagram.product_mask())
-                assert diagram_weight(dh, dg, diagram) == expected
+                expected = induced_edges(product, staircase_mask(heights, g_graph.n))
+                assert diagram_weight(dh, dg, heights) == expected
 
 
 def test_diagram_weight_random_large(z2, z2_profile):
@@ -143,15 +136,14 @@ def test_diagram_weight_random_large(z2, z2_profile):
     rng = random.Random(32)
     for _ in range(200):
         heights = sorted((rng.randint(0, 17) for _ in range(17)), reverse=True)
-        diagram = Diagram(heights, (17, 17))
-        expected = induced_edges(product, diagram.product_mask())
-        assert diagram_weight(d, d, diagram) == expected
+        expected = induced_edges(product, staircase_mask(heights, 17))
+        assert diagram_weight(d, d, heights) == expected
 
 
 def test_diagram_weight_box_mismatch():
+    # a staircase of the 2 x 4 box, weighed with 3 x 3 factors
     with pytest.raises(InputError):
-        diagram_weight(delta_for(complete(3)), delta_for(complete(3)),
-                       Diagram((2, 1), (2, 4)))
+        diagram_weight(delta_for(complete(3)), delta_for(complete(3)), (4, 1))
 
 
 # ------------------------------------------------------------
@@ -167,20 +159,20 @@ def test_optimizer_matches_exhaustive_diagram_scan():
         best = {}
         arg = {}
         for heights in all_heights(h_graph.n, g_graph.n):
-            diagram = Diagram(heights, (h_graph.n, g_graph.n))
-            w = diagram_weight(dh, dg, diagram)
-            if w > best.get(diagram.size, -1):
-                best[diagram.size] = w
-                arg[diagram.size] = [heights]
-            elif w == best[diagram.size]:
-                arg[diagram.size].append(heights)
+            w = diagram_weight(dh, dg, heights)
+            size = sum(heights)
+            if w > best.get(size, -1):
+                best[size] = w
+                arg[size] = [heights]
+            elif w == best[size]:
+                arg[size].append(heights)
         for m in range(h_graph.n * g_graph.n + 1):
             assert opt.optimum(m) == best[m]
-            witness, = opt.witnesses([m])
-            assert witness.size == m
+            witness, = opt.witnesses([m]).tolist()
+            assert sum(witness) == m
             assert diagram_weight(dh, dg, witness) == best[m]
             # the DP returns the lexicographically least optimal heights
-            assert witness.heights == min(arg[m])
+            assert tuple(witness) == min(arg[m])
 
 
 @st.composite
@@ -223,7 +215,7 @@ def test_optimizer_equals_product_profile_k3():
     opt = DiagramOptimizer(d, d)
     assert tuple(opt.optima()) == K3K3_INDUCED
     assert opt.optimum(4) == K3K3_INDUCED[4]
-    assert opt.witnesses([4])[0].heights == (2, 1, 1)
+    assert opt.witnesses([4]).tolist() == [[2, 1, 1]]
     product = cartesian_product(complete(3), complete(3))
     assert iso_profile(product).induced == K3K3_INDUCED
 
@@ -265,17 +257,18 @@ def test_witnesses_match_single_witness_and_brute_force(case):
     dh, dg, sizes = case
     opt = DiagramOptimizer(DeltaSequence(dh), DeltaSequence(dg))
     got = opt.witnesses(sizes)
+    assert got.shape == (len(sizes), len(dh)) and got.dtype == np.int64
     brute = brute_lex_least_optima(dh, dg)
-    assert [w.heights for w in got] == [brute[m] for m in sizes]
-    assert got == [opt.witnesses([m])[0] for m in sizes]
-    assert all(w.box == (len(dh), len(dg)) for w in got)
-    # rows skip Diagram's validation; each must still pass it
-    assert all(Diagram(w.heights, w.box) == w for w in got)
+    assert [tuple(row) for row in got.tolist()] == [brute[m] for m in sizes]
+    assert got.tolist() == [opt.witnesses([m])[0].tolist() for m in sizes]
+    # rows are built unchecked; each must pass diagram_weight's check
+    assert [diagram_weight(DeltaSequence(dh), DeltaSequence(dg), row) for row in got] == \
+        [opt.optimum(m) for m in sizes]
 
 
 def test_witnesses_refuse_any_out_of_range_size_before_work():
     opt = DiagramOptimizer(delta_for(complete(3)), delta_for(complete(3)))
-    assert opt.witnesses([]) == []
+    assert opt.witnesses([]).shape == (0, 3)
     with pytest.raises(TypeError):
         opt.witnesses([4, 2.5])
     opt.tables = None  # any table read now fails with a TypeError
@@ -289,7 +282,7 @@ def test_witnesses_refuse_a_table_only_a_disallowed_height_meets():
     # cells left (remaining); a corrupt table that only such a height
     # would meet is a failed reconstruction, not a witness
     opt = DiagramOptimizer(DeltaSequence((0, 5, 5)), DeltaSequence((0, 1, 2)))
-    assert opt.witnesses([3])[0].heights == (1, 1, 1)
+    assert opt.witnesses([3]).tolist() == [[1, 1, 1]]
     # column 1 places 2 cells under cap 1; claim a height-2 column's value
     taller = opt.colw[1][2] + opt.tables[2][0, 2]
     opt.tables[1][2, 1] = taller
@@ -344,17 +337,16 @@ def test_compress_set_never_loses_edges():
     rng = random.Random(33)
     for _ in range(200):
         mask = rng.getrandbits(product.n)
-        diagram = compress_set(h, g, mask)
-        assert diagram.size == mask.bit_count()
-        assert induced_edges(product, diagram.product_mask()) >= \
+        heights = compress_set(h, g, mask)
+        assert sum(heights) == mask.bit_count()
+        assert induced_edges(product, staircase_mask(heights, g.n)) >= \
             induced_edges(product, mask)
 
 
 def test_compress_set_idempotent_on_diagrams():
     h, g = complete(3), path(3)
     for heights in all_heights(3, 3):
-        diagram = Diagram(heights, (3, 3))
-        assert compress_set(h, g, diagram.product_mask()) == diagram
+        assert compress_set(h, g, staircase_mask(heights, 3)) == heights
 
 
 def test_compress_set_rejects_bad_cells():
@@ -416,8 +408,7 @@ def test_enumerate_chains_prefixes_hit_optima():
         assert survey.total >= 1
         for chain in survey.chains:
             for m in range(1, g.n * g.n + 1):
-                diagram = Diagram(heights_after(chain, m, g.n), (g.n, g.n))
-                weight = diagram_weight(d, d, diagram)
+                weight = diagram_weight(d, d, heights_after(chain, m, g.n))
                 assert weight == opt.optimum(m)
 
 
@@ -670,8 +661,8 @@ def test_compressed_reports_first_failing_power_path3():
     # labels below 9 have first coordinate 0, so both sets lie in path(3)^3
     cube = cartesian_power(nested_solution_form(path(3))[0], 3)
     assert induced_edges(cube, 0b1111) == 3
-    witness = Diagram([int(h) for h in first.witness.split(",")], (3, 3))
-    assert induced_edges(cube, witness.product_mask()) == 4
+    witness = [int(h) for h in first.witness.split(",")]
+    assert induced_edges(cube, staircase_mask(witness, 3)) == 4
 
 
 def test_compressed_reports_first_failing_power_petersen(pet):

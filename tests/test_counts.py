@@ -17,8 +17,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_boundary, brute_induced, compress_set
-from edgeiso.compress import Diagram, DiagramOptimizer, diagram_weight
+from conftest import brute_boundary, brute_induced, compress_set, staircase_mask
+from edgeiso.compress import DiagramOptimizer, diagram_weight, staircase_members
 from edgeiso.delta import nested_solution_form
 from edgeiso.graphs import (_BATCH_ROWS, _edge_counts, _edge_counts_many, boundary_edges,
                             cartesian_product, from_edge_list, induced_edges, petersen)
@@ -91,9 +91,10 @@ def test_batched_edge_counts_across_chunks_of_a_wide_product():
 def test_diagram_weight_counts_product_edges(left, right, data):
     (h, dh), (g, dg) = left, right
     heights = data.draw(st.lists(st.integers(0, g.n), min_size=h.n, max_size=h.n))
-    diagram = Diagram(sorted(heights, reverse=True), (h.n, g.n))
+    heights.sort(reverse=True)
     product = cartesian_product(h, g)
-    assert diagram_weight(dh, dg, diagram) == brute_counts(product, diagram.product_mask())[0]
+    assert diagram_weight(dh, dg, heights) == \
+        brute_counts(product, staircase_mask(heights, g.n))[0]
 
 
 @PROPERTY
@@ -105,13 +106,30 @@ def test_diagram_optimum_equals_product_scan(left, right):
     product = cartesian_product(h, g)
     prof = iso_profile(product)
     assert opt.optima() == list(prof.induced)
-    witnesses = opt.witnesses(range(product.n + 1))
+    witnesses = opt.witnesses(range(product.n + 1)).tolist()
     for m, witness in enumerate(witnesses):
-        assert witness.size == m
-        assert brute_counts(product, witness.product_mask())[0] == opt.optimum(m)
+        assert sum(witness) == m
+        assert brute_counts(product, staircase_mask(witness, g.n))[0] == opt.optimum(m)
         # compressing an optimal set keeps it optimal
         compressed = compress_set(h, g, prof.induced_witness[m])
-        assert brute_counts(product, compressed.product_mask())[0] == prof.induced[m]
+        assert brute_counts(product, staircase_mask(compressed, g.n))[0] == prof.induced[m]
+
+
+@PROPERTY
+@given(st.one_of(ns_factors.map(lambda factor: (factor, factor)),
+                 st.tuples(ns_factors, ns_factors)))
+def test_height_row_witnesses_recount_to_the_optimum(factors):
+    # square boxes, and boxes of any two factors
+    (h, dh), (g, dg) = factors
+    opt = DiagramOptimizer(dh, dg)
+    sizes = range(h.n * g.n + 1)
+    rows = opt.witnesses(sizes)
+    for m, row in zip(sizes, rows):
+        assert diagram_weight(dh, dg, row) == opt.optimum(m)  # checks row is a staircase
+    member = staircase_members(rows, g.n)
+    assert member.sum(axis=1).tolist() == list(sizes)
+    product = cartesian_product(h, g)
+    assert _edge_counts_many(product, member).tolist() == opt.optima()
 
 
 @PROPERTY
@@ -120,7 +138,7 @@ def test_compression_never_loses_edges(left, right, data):
     (h, _), (g, _) = left, right
     product = cartesian_product(h, g)
     mask = data.draw(st.integers(0, (1 << product.n) - 1))
-    diagram = compress_set(h, g, mask)
-    assert diagram.size == mask.bit_count()
-    after = brute_counts(product, diagram.product_mask())[0]
+    heights = compress_set(h, g, mask)
+    assert sum(heights) == mask.bit_count()
+    after = brute_counts(product, staircase_mask(heights, g.n))[0]
     assert after >= brute_counts(product, mask)[0]

@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import edgeiso.solver
@@ -508,6 +508,65 @@ def test_mirrored_witness_is_the_greatest_maximizer_of_all_pieces(half, monkeypa
     prof = narrow_profile(g, 9)
     assert prof.induced_witness[7] == 0x2f5
     assert list(prof.induced_witness) == brute_witnesses(10, CUBIC_10)[0]
+
+
+def random_regular_graph(rng, n, r):
+    """An r-regular graph on n vertices (r * n even): a circulant, then
+    degree-preserving swaps of random edge pairs."""
+    edges = circulant(n, list(range(1, r // 2 + 1)) + [n // 2] * (r % 2)).edges()
+    present = set(edges)
+    for _ in range(10 * len(edges)):
+        i, j = rng.randrange(len(edges)), rng.randrange(len(edges))
+        (a, b), (c, d) = edges[i], edges[j]
+        if rng.random() < 0.5:
+            c, d = d, c
+        new = (min(a, c), max(a, c)), (min(b, d), max(b, d))
+        if len({a, b, c, d}) == 4 and not present.intersection(new):
+            present.difference_update((edges[i], edges[j]))
+            present.update(new)
+            edges[i], edges[j] = new
+    return from_edge_list(n, edges)
+
+
+def pinned_vertices(g) -> list[int]:
+    """The vertices that, at some size 1..n-1, every set with the most
+    induced edges holds."""
+    masks = np.arange(1 << g.n)
+    size = sum(masks >> v & 1 for v in range(g.n))
+    induced = sum(masks >> u & masks >> v & 1 for u, v in g.edges())
+    pinned = 0
+    for m in range(1, g.n):
+        at = size == m
+        pinned |= np.bitwise_and.reduce(masks[at][induced[at] == induced[at].max()])
+    return [v for v in range(g.n) if pinned >> v & 1]
+
+
+@st.composite
+def pinned_regular_graphs(draw):
+    """Random regular graphs on 6..14 vertices in which, at some size,
+    every optimal set holds the top vertex.  The scan's mirrored walk
+    settles the sets that hold it, so their least witness is the
+    complement of a walked block's greatest maximizer."""
+    n = draw(st.integers(6, 14))
+    r = draw(st.sampled_from([r for r in range(2, n - 2) if r * n % 2 == 0]))
+    g = random_regular_graph(random.Random(draw(st.integers(0, 2**32 - 1))), n, r)
+    pinned = pinned_vertices(g)
+    assume(pinned)
+    v = draw(st.sampled_from(pinned))
+    labels = list(range(n))
+    labels[v], labels[n - 1] = n - 1, v
+    return relabel(g, labels)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(pinned_regular_graphs())
+def test_mirrored_witnesses_of_pinned_regular_graphs(g):
+    # With the top vertex the one high vertex, every set holding it lies
+    # in the one mirrored block, the complement of the walked one.
+    assert is_regular(g)[0]
+    prof = narrow_profile(g, g.n - 1)
+    assert (list(prof.induced_witness),
+            list(prof.boundary_witness)) == brute_witnesses(g.n, g.edges())
 
 
 @pytest.mark.parametrize("g, high, steps", [

@@ -153,8 +153,8 @@ def _check_regular_identity() -> tuple[bool, dict]:
 
 def _crossing_counts(g, member) -> np.ndarray:
     """Edges uv with [u in A] != [v in A], for each row A of ``member``."""
-    ends = np.array(g.edges(), dtype=np.intp).reshape(-1, 2)
-    return np.count_nonzero(member[:, ends[:, 0]] != member[:, ends[:, 1]], axis=1)
+    u, v = graphs_mod._edge_ends(g)
+    return np.count_nonzero(member[:, u] != member[:, v], axis=1)
 
 
 def _random_regular(rng: np.random.Generator):
@@ -166,7 +166,9 @@ def _random_regular(rng: np.random.Generator):
         return None
     stubs = np.repeat(np.arange(n), r)
     ends = rng.permuted(np.tile(stubs, (200, 1)), axis=1).reshape(200, -1, 2)
-    u, v = ends.min(axis=2), ends.max(axis=2)
+    # elementwise; min and max over the length-2 axis cost over 20 times more
+    first, second = ends[..., 0], ends[..., 1]
+    u, v = np.minimum(first, second), np.maximum(first, second)
     codes = np.sort(u * n + v, axis=1)
     simple = (u != v).all(axis=1) & (np.diff(codes, axis=1) > 0).all(axis=1)
     if not simple.any():
@@ -222,9 +224,12 @@ def _diagram_factors():
 
 
 def _prefix_subgraph(g, k: int):
-    """Induced subgraph on labels 0..k-1 (labels assumed in NS order)."""
-    edges = [(u, v) for u, v in g.edges() if u < k and v < k]
-    return graphs_mod.from_edge_list(k, edges, name=f"prefix({g.display_name()},{k})")
+    """Induced subgraph on labels 0..k-1 (labels assumed in NS order):
+    g's first k rows cut to their low k bits, which keeps them symmetric
+    and loop-free."""
+    low = (1 << k) - 1
+    return graphs_mod.Graph._of_rows([row & low for row in g.adj[:k]],
+                                     f"prefix({g.display_name()},{k})")
 
 
 def _all_diagrams(nh: int, ng: int) -> np.ndarray:

@@ -4,8 +4,9 @@ Vertices are dense integers ``0..n-1``.  Each adjacency row is a Python
 int used as a bit mask, so every single-set edge count in this package
 reduces to popcounts of row intersections.  ``_edge_counts_many`` counts
 a whole batch of sets at once, given as a boolean membership matrix, in
-one numpy pass over the edge list.  A vertex set is given as an int
-mask or as an iterable of vertices (``as_mask``).
+one numpy pass over the edge arrays that ``_edge_ends`` unpacks from the
+rows' bytes; it needs no matmul and no numpy-2-only call.  A vertex set
+is given as an int mask or as an iterable of vertices (``as_mask``).
 
 The module also hosts the constructor expression grammar
 (``complete(4)``, ``join(X,Y)``, ``power(complete(2),3)``, ...) and the
@@ -69,6 +70,20 @@ class Graph:
         self.adj = tuple(rows)
         self.name = name
 
+    @classmethod
+    def _of_rows(cls, rows: Iterable[int], name: str | None) -> Graph:
+        """The graph whose adjacency rows are ``rows``, taken as they are.
+
+        The vertex count is checked as in ``Graph(n)``; the per-edge
+        range and loop checks are not, so the caller must prove by
+        construction that bit v of row u equals bit u of row v, that no
+        row has bit u set in row u, and that no bit reaches len(rows).
+        """
+        rows = tuple(rows)
+        g = cls(len(rows), name=name)
+        g.adj = rows
+        return g
+
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
@@ -129,14 +144,29 @@ def _edge_counts(adj, mask: int) -> tuple[int, int]:
     return inner2 // 2, degsum - inner2
 
 
+def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The edges as two intp arrays (u, v) with u < v, in ``edges()`` order.
+
+    The rows' little-endian bytes unpack to the n x n adjacency matrix,
+    whose nonzero entries come in row-major order; the upper triangle
+    keeps each edge once.
+    """
+    width = (g.n + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in g.adj),
+                           dtype=np.uint8).reshape(g.n, width)
+    u, v = np.unpackbits(packed, axis=1, count=g.n, bitorder="little").nonzero()
+    upper = u < v
+    return u[upper], v[upper]
+
+
 def _edge_counts_many(g: Graph, member) -> np.ndarray:
     """Induced edges of many sets at once.
 
     ``member`` is a (sets x n) boolean matrix whose row i marks set i.
-    Rows are counted ``_BATCH_ROWS`` at a time.
+    Rows are counted ``_BATCH_ROWS`` at a time, each as the number of
+    edges of ``_edge_ends`` with both ends marked.
     """
-    ends = np.array(g.edges(), dtype=np.intp).reshape(-1, 2)
-    u, v = ends[:, 0], ends[:, 1]
+    u, v = _edge_ends(g)
     induced = np.empty(len(member), dtype=np.int64)
     for start in range(0, len(member), _BATCH_ROWS):
         rows = member[start:start + _BATCH_ROWS]
@@ -231,39 +261,44 @@ def petersen() -> Graph:
 
 
 def graph_union(a: Graph, b: Graph) -> Graph:
-    """Disjoint union; b's vertices are relabeled to follow a's."""
-    edges = a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()]
-    name = _compose_name("union", a, b)
-    return Graph(a.n + b.n, edges, name=name)
+    """Disjoint union; b's vertices are relabeled to follow a's.
+
+    a's rows, then b's shifted past a's block: each row stays inside
+    its own block, so the rows stay symmetric and loop-free.
+    """
+    rows = a.adj + tuple(row << a.n for row in b.adj)
+    return Graph._of_rows(rows, _compose_name("union", a, b))
 
 
 def join(a: Graph, b: Graph) -> Graph:
-    """Disjoint union plus every edge between the two sides."""
-    g = graph_union(a, b)
-    edges = g.edges() + [(u, a.n + v) for u in range(a.n) for v in range(b.n)]
-    return Graph(a.n + b.n, edges, name=_compose_name("join", a, b))
+    """Disjoint union plus every edge between the two sides.
+
+    The union's rows, each with the other side's whole block added: u in
+    a gains every v in b exactly when v gains u, and no row gains a bit
+    of its own block, so no loop either.
+    """
+    a_block, b_block = (1 << a.n) - 1, ((1 << b.n) - 1) << a.n
+    rows = [row | b_block for row in a.adj] + [(row << a.n) | a_block for row in b.adj]
+    return Graph._of_rows(rows, _compose_name("join", a, b))
 
 
 def cartesian_product(a: Graph, b: Graph) -> Graph:
     """Cartesian product; vertex (x, y) gets label x * b.n + y.
 
     (x, y) and (u, v) are adjacent when x == u and yv is an edge of b,
-    or xu is an edge of a and y == v.
+    or xu is an edge of a and y == v.  So row (x, y) is b's row y moved
+    to block x, OR'd with bit y of each block u that a's row x names;
+    ``spread[x]`` holds bit 0 of those blocks.  Both parts are symmetric
+    because a and b are, both avoid bit (x, y) because neither factor
+    has a loop, and no bit leaves the a.n * b.n labels.
     """
     n = a.n * b.n
     if n > MAX_VERTICES:
         raise CapacityError(
             f"product on {a.n}*{b.n} vertices exceeds the {MAX_VERTICES}-vertex cap")
-    edges = []
-    b_edges = b.edges()
-    for x in range(a.n):
-        base = x * b.n
-        for u, v in b_edges:
-            edges.append((base + u, base + v))
-    for u, v in a.edges():
-        for y in range(b.n):
-            edges.append((u * b.n + y, v * b.n + y))
-    return Graph(n, edges, name=_compose_name("product", a, b))
+    spread = [sum(1 << (u * b.n) for u in bit_indices(row)) for row in a.adj]
+    rows = [(b.adj[y] << x * b.n) | (spread[x] << y) for x in range(a.n) for y in range(b.n)]
+    return Graph._of_rows(rows, _compose_name("product", a, b))
 
 
 def cartesian_power(g: Graph, d: int) -> Graph:
@@ -283,7 +318,7 @@ def cartesian_power(g: Graph, d: int) -> Graph:
     out = g
     for _ in range(d - 1):
         out = cartesian_product(out, g)
-    return Graph(out.n, out.edges(), name=f"power({label},{d})")
+    return Graph._of_rows(out.adj, f"power({label},{d})")
 
 
 def capped_power(n: int, d: int, bound: int) -> int:

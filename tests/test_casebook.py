@@ -222,6 +222,59 @@ def test_random_regular_draws_simple_regular_graphs(seed):
     assert g.display_name() == f"regular(n={g.n},r={r})"
 
 
+def _random_regular_reference(rng: np.random.Generator):
+    """One attempt at a random simple regular graph on <= 10 vertices:
+    200 random pairings of r stubs per vertex, of which the first with
+    no loop and no repeated pair wins."""
+    n, r = rng.integers([4, 2], [11, 5]).tolist()
+    if r >= n or (n * r) % 2:
+        return None
+    stubs = np.repeat(np.arange(n), r)
+    ends = rng.permuted(np.tile(stubs, (200, 1)), axis=1).reshape(200, -1, 2)
+    u, v = ends.min(axis=2), ends.max(axis=2)
+    codes = np.sort(u * n + v, axis=1)
+    simple = (u != v).all(axis=1) & (np.diff(codes, axis=1) > 0).all(axis=1)
+    if not simple.any():
+        return None
+    edges = [divmod(c, n) for c in codes[simple.argmax()].tolist()]
+    return edgeiso.graphs.from_edge_list(n, edges, name=f"regular(n={n},r={r})")
+
+
+def _drawn_edge_lists(draw, seed, count=1):
+    """The first ``count`` draws of ``draw`` from ``default_rng(seed)``,
+    each None or the graph's edges and name with the (n, edge list, name)
+    it handed to ``from_edge_list``, edges in the order given."""
+    calls, real = [], edgeiso.graphs.from_edge_list
+
+    def record(n, edges, name=None):
+        calls.append((n, list(edges), name))
+        return real(n, edges, name)
+
+    rng, drawn = np.random.default_rng(seed), []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(edgeiso.graphs, "from_edge_list", record)
+        while len(drawn) < count:
+            g = draw(rng)
+            drawn.append(None if g is None else (g.edges(), g.name, calls[-1]))
+    return drawn
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**64 - 1))
+def test_random_regular_draws_as_the_axis_reductions_did(seed):
+    # the pairing's ends are read elementwise, so every drawn edge list,
+    # each pair in (smaller, larger) order, is what the reductions gave
+    assert (_drawn_edge_lists(edgeiso.casebook._random_regular, seed)
+            == _drawn_edge_lists(_random_regular_reference, seed))
+
+
+def test_regular_identity_graphs_are_the_reference_draws():
+    # the claim's 50 random graphs are the first 50 of these draws
+    got = _drawn_edge_lists(edgeiso.casebook._random_regular, 41, 200)
+    assert sum(g is not None for g in got) >= 50
+    assert got == _drawn_edge_lists(_random_regular_reference, 41, 200)
+
+
 def test_regular_identity_detects_a_consistent_miscount(monkeypatch):
     # induced +1 on every non-empty set, the same on every graph
     real = edgeiso.graphs._edge_counts_many

@@ -1,8 +1,10 @@
 """Graph construction, counting primitives, grammar, and formats."""
 
+import itertools
 import random
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -155,6 +157,77 @@ def test_product_capacity():
         cartesian_product(empty_graph(65), empty_graph(64))
     with pytest.raises(CapacityError):
         cartesian_power(empty_graph(17), 3)
+
+
+def test_row_built_graphs_over_the_cap():
+    # the rows are built before the vertex count is checked
+    big = empty_graph(4096)
+    for build in (graph_union, join):
+        with pytest.raises(CapacityError):
+            build(big, complete(1))
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on 1..9 vertices, each pair an edge or not, named or not."""
+    n = draw(st.integers(1, 9))
+    pairs = itertools.combinations(range(n), 2)
+    edges = [e for e, keep in zip(pairs, draw(st.lists(
+        st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))) if keep]
+    return Graph(n, edges, name=draw(st.sampled_from([None, f"g{n}", "h"])))
+
+
+def _by_definition(op, a, b):
+    """The graph ``op`` of a and b, from the definition's edge list."""
+    shifted = [(u + a.n, v + a.n) for u, v in b.edges()]
+    if op == "union":
+        edges = a.edges() + shifted
+    elif op == "join":
+        edges = a.edges() + shifted + [(u, a.n + v) for u in range(a.n) for v in range(b.n)]
+    else:  # product: (x, y) is x * b.n + y
+        edges = [(x * b.n + u, x * b.n + v) for x in range(a.n) for u, v in b.edges()]
+        edges += [(u * b.n + y, v * b.n + y) for u, v in a.edges() for y in range(b.n)]
+    n = a.n * b.n if op == "product" else a.n + b.n
+    name = f"{op}({a.name},{b.name})" if a.name and b.name else None
+    return Graph(n, edges, name=name)
+
+
+def _power_by_definition(g, d):
+    """g^d from coordinate tuples: x1 most significant, and two tuples
+    adjacent when they differ in one coordinate, along an edge of g."""
+    tuples = list(itertools.product(range(g.n), repeat=d))
+    label = {t: k for k, t in enumerate(tuples)}
+    edges = [(label[t], label[t[:i] + (v,) + t[i + 1:]])
+             for t in tuples for i in range(d) for v in bit_indices(g.adj[t[i]])]
+    return Graph(len(tuples), edges, name=f"power({g.display_name()},{d})")
+
+
+def _assert_simple(g):
+    for u, row in enumerate(g.adj):
+        assert row >> g.n == 0 and not row >> u & 1
+        assert all(g.adj[v] >> u & 1 for v in bit_indices(row))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_graphs(), small_graphs(), st.integers(1, 4))
+def test_row_built_graphs_match_their_definitions(a, b, d):
+    built = [(cartesian_product(a, b), _by_definition("product", a, b)),
+             (join(a, b), _by_definition("join", a, b)),
+             (graph_union(a, b), _by_definition("union", a, b))]
+    if a.n ** d <= 400:
+        built.append((cartesian_power(a, d), _power_by_definition(a, d)))
+    for got, want in built:
+        assert (got.n, got.adj, got.name) == (want.n, want.adj, want.name)
+        _assert_simple(got)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65])
+def test_edge_ends_are_the_edges_in_order(n):
+    rng = random.Random(n)
+    for g in (empty_graph(n), random_graph(rng, n), random_graph(rng, n, 0.9), complete(n)):
+        u, v = edgeiso.graphs._edge_ends(g)
+        assert u.dtype == v.dtype == np.intp
+        assert list(zip(u.tolist(), v.tolist())) == g.edges()
 
 
 def test_relabel():

@@ -39,7 +39,6 @@ adding it swaps those two bits.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from typing import NamedTuple
 
@@ -105,10 +104,10 @@ def diagram_weight(dh: DeltaSequence, dg: DeltaSequence, heights) -> int:
     return int(_column_weights(dh, dg)[np.arange(nh), _staircase(heights, nh, ng)].sum())
 
 
-def _column_tables(dh: DeltaSequence, dg: DeltaSequence):
+def _column_tables(dh: DeltaSequence, dg: DeltaSequence, kept: int | None = None):
     """Yield ``table[x]`` for x = n_h, ..., 0: ``table[x][u, c]`` is the
     best total weight of columns x.. using u cells, every height at most
-    c.  Each needs only the one before, so a caller may drop the rest.
+    c.  Each needs only the one before.
 
     A table is stored with c on the row axis behind a left pad of n_g
     ``_NEG`` columns; the yielded ``.T`` views skip the pad and index
@@ -118,18 +117,28 @@ def _column_tables(dh: DeltaSequence, dg: DeltaSequence):
     in the pad.  A running maximum over h, one contiguous row per h,
     then turns "height h" into "height at most c".  Only sizes
     u <= (n_h - x) * n_g fit in columns x..; the rest stay ``_NEG``.
+
+    Table x is written into buffer x % b of the b = ``kept`` buffers
+    (all n_h + 1 by default), cut from one ``np.full`` of ``_NEG``, so
+    the last b tables yielded stay valid.  Reuse is exact: buffer x % b
+    last held table x + b, whose writes reach only sizes up to
+    (n_h - x - b) * n_g.  Table x writes every h row at every size up to
+    (n_h - x) * n_g, so it overwrites all of them, and what lies past
+    its sizes is still ``_NEG``.  No table writes the pad.
     """
     nh, ng = len(dh), len(dg)
     width = ng + nh * ng + 1  # the pad, then sizes 0..n_h * n_g
+    b = nh + 1 if kept is None else kept
     colw = _column_weights(dh, dg)
-    after = np.full((ng + 1, width), _NEG, dtype=np.int64)
+    buffers = np.full((b, ng + 1, width), _NEG, dtype=np.int64)
+    after = buffers[nh % b]
     after[:, ng] = 0
     yield after[:, ng:].T
     for x in range(nh - 1, -1, -1):
         feasible = (nh - x) * ng + 1
         # skewed[h, u] is after's flat entry h * width + ng + u - h: after[h, u - h]
         skewed = after.reshape(-1)[ng:ng + (ng + 1) * (width - 1)].reshape(ng + 1, width - 1)
-        cur = np.full((ng + 1, width), _NEG, dtype=np.int64)
+        cur = buffers[x % b]
         best = cur[:, ng:ng + feasible]
         np.add(skewed[:, :feasible], colw[x, :, None], out=best)
         for h in range(1, ng + 1):
@@ -139,8 +148,8 @@ def _column_tables(dh: DeltaSequence, dg: DeltaSequence):
 
 
 def _optima(dh: DeltaSequence, dg: DeltaSequence) -> list[int]:
-    """The diagram optimum at every size, keeping two tables at a time."""
-    for table in _column_tables(dh, dg):
+    """The diagram optimum at every size, in two reused table buffers."""
+    for table in _column_tables(dh, dg, 2):
         pass
     return table[:, len(dg)].tolist()
 
@@ -150,9 +159,11 @@ class DiagramOptimizer:
     columns x.., kept for witnesses; ``colw[x, h]`` is the weight of
     column x at height h.  ``_optima`` keeps two when no witness is read.
 
-    ``witnesses`` rebuilds the witnesses of many sizes together, one
-    numpy step per column, so a failing square costs n_h steps however
-    many of its rows fail.
+    ``tables[x][u, c]`` is a running maximum over heights h <= c, so the
+    least height that column x of an optimum of u cells under cap c can
+    take is the least h with ``tables[x][u, h] == tables[x][u, c]``: one
+    table row per column is all ``witnesses`` reads, and a failing
+    square costs n_h numpy steps however many of its rows fail.
     """
 
     def __init__(self, dh: DeltaSequence, dg: DeltaSequence):
@@ -160,46 +171,47 @@ class DiagramOptimizer:
         self.colw = _column_weights(dh, dg)
         self.tables = list(_column_tables(dh, dg))[::-1]
 
-    def optimum(self, m: int) -> int:
+    def _check_size(self, m) -> int:
+        m = operator.index(m)  # a float would truncate in an int64 index
         if not 0 <= m <= self.nh * self.ng:
             raise InputError(f"size {m} outside the {self.nh}x{self.ng} box")
-        return int(self.tables[0][m, self.ng])
+        return m
+
+    def optimum(self, m: int) -> int:
+        return int(self.tables[0][self._check_size(m), self.ng])
 
     def optima(self) -> list[int]:
-        return [int(v) for v in self.tables[0][:, self.ng]]
+        return self.tables[0][:, self.ng].tolist()
 
     def witnesses(self, sizes) -> np.ndarray:
         """The (len(sizes) x n_h) int64 array whose row i is, for m =
         sizes[i], the lexicographically least height vector among the
         optima of size m.
 
-        All sizes walk the columns together: at column x each takes the
-        least height h <= min(cap, remaining) with colw[x][h] +
-        tables[x + 1][remaining - h, h] equal to tables[x][remaining, cap],
-        so the reconstruction is n_h numpy steps however many sizes ask.
+        All sizes walk the columns together: at column x each gathers its
+        row ``tables[x][remaining]`` and takes the least h where that
+        running maximum reaches its value at ``cap``, the height of the
+        column before.
+        That h is at most cap, and a height above the cells remaining
+        reads the pad, so never reaches an optimum.  Every finished row
+        is then recounted: its heights must sum to m and its column
+        weights to ``tables[0][m, n_g]``.
         """
-        sizes = [operator.index(m) for m in sizes]  # a float would truncate in the int64 array
-        total = self.nh * self.ng
-        for m in sizes:
-            if not 0 <= m <= total:
-                raise InputError(f"size {m} outside the {self.nh}x{self.ng} box")
+        sizes = [self._check_size(m) for m in sizes]
         remaining = np.array(sizes, dtype=np.int64)
         cap = np.full(len(sizes), self.ng, dtype=np.int64)
-        hs = np.arange(self.ng + 1)
+        rows = np.arange(len(sizes))
         heights = np.empty((len(sizes), self.nh), dtype=np.int64)
         for x in range(self.nh):
-            want = self.tables[x][remaining, cap]
-            allowed = hs <= np.minimum(cap, remaining)[:, None]
-            # a disallowed h may index a negative size; its value is masked off
-            cand = self.tables[x + 1][remaining[:, None] - hs, hs] + self.colw[x]
-            hit = allowed & (cand == want[:, None])
-            h = hit.argmax(axis=1)
-            if not hit.any(axis=1).all():  # tables are exact unless corrupted
-                raise RuntimeError("diagram witness reconstruction failed")
+            best = self.tables[x][remaining]
+            h = (best == best[rows, cap][:, None]).argmax(axis=1)
             heights[:, x] = h
             remaining -= h
             cap = h
         # each h <= cap, the height before it, and h <= ng: the rows are staircases
+        weights = self.colw[np.arange(self.nh), heights].sum(axis=1)
+        if remaining.any() or (weights != self.tables[0][sizes, self.ng]).any():
+            raise RuntimeError("diagram witness reconstruction failed")  # a corrupt table
         return heights
 
 
@@ -327,34 +339,37 @@ def _lex_power_rows(dg: DeltaSequence, d: int) -> tuple[int, tuple[SizeCheck, ..
     g^(k-1) x g.  Lex is optimal on g^(k-1) by the step before, so it is
     a nested-solution order there and its prefix differences are the
     left factor's delta; the diagram DP then gives the exact optimum of
-    g^k per size.  Returns (2, rows) when lex fails on the square, a
-    failing row's witness the optimal heights joined by commas, or (d, rows
-    of g^d).  Only the square keeps its full table set, for witnesses:
-    by Ahlswede and Cai's local-global principle, lex optimal on g^2 is
+    g^k per size.  Lex adds the box's cells column by column, so its
+    prefix weights are one cumsum of the raveled outer sum of the two
+    deltas.  Returns (2, rows) when lex fails on the square, a failing
+    row's witness the optimal heights joined by commas, or (d, rows of
+    g^d).  Only the square keeps its full table set, for witnesses: by
+    Ahlswede and Cai's local-global principle, lex optimal on g^2 is
     optimal on every power, so a later failing power is a solver bug.
     """
-    rows = tuple(SizeCheck(m, w, w, True, None)
-                 for m, w in enumerate(itertools.accumulate(dg), start=1))
-    if len(dg) == 1:  # every power of one vertex has these rows
-        return d, rows
-    dh = dg
-    for k in range(2, d + 1):
+    gain_g = np.array(dg.values, dtype=np.int64)
+    gain_h = gain_g
+    lex = optima = np.cumsum(gain_g)
+    found = {}
+    k = d
+    for k in range(2, d + 1) if len(dg) > 1 else ():  # a one-vertex power is one vertex
         square = DiagramOptimizer(dg, dg) if k == 2 else None
-        optima = _optima(dh, dg) if square is None else square.optima()
-        gain_h, gain_g = dh.values, dg.values
-        steps = [gain_h[x] + gain_g[y] for x, y in _lex_cells(len(dh), len(dg))]
-        rows = tuple(SizeCheck(m, w, optima[m], w == optima[m], None)
-                     for m, w in enumerate(itertools.accumulate(steps), start=1))
-        failing = [row.size for row in rows if not row.ok]
+        optima = np.array(_optima(DeltaSequence(gain_h.tolist()), dg) if square is None
+                          else square.optima())[1:]
+        gain_h = (gain_h[:, None] + gain_g).ravel()
+        lex = np.cumsum(gain_h)
+        failing = (np.flatnonzero(lex != optima) + 1).tolist()
         if failing and square is None:
             raise RuntimeError(f"lex fails on power {k} after passing on the square, "
                                f"against Ahlswede-Cai; solver bug")
         if failing:
-            found = (",".join(map(str, hs)) for hs in square.witnesses(failing).tolist())
-            return k, tuple(row if row.ok else row._replace(witness=next(found))
-                            for row in rows)
-        dh = DeltaSequence(steps)
-    return d, rows
+            digits = [str(h) for h in range(len(dg) + 1)]
+            found = {m: ",".join([digits[h] for h in hs])
+                     for m, hs in zip(failing, square.witnesses(failing).tolist())}
+            break
+    sizes = range(1, len(lex) + 1)
+    return k, tuple(map(SizeCheck, sizes, lex.tolist(), optima.tolist(),
+                        (lex == optima).tolist(), map(found.get, sizes)))
 
 
 def verify_lex_square(g: Graph, profile: IsoProfile | None = None) -> OptimalityReport:

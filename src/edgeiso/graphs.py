@@ -148,13 +148,14 @@ def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """The edges as two intp arrays (u, v) with u < v, in ``edges()`` order.
 
     The rows' little-endian bytes unpack to the n x n adjacency matrix,
-    whose nonzero entries come in row-major order; the upper triangle
-    keeps each edge once.
+    whose flat nonzero positions come in row-major order and split into
+    (row, column) by divmod; the upper triangle keeps each edge once.
     """
     width = (g.n + 7) // 8
     packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in g.adj),
                            dtype=np.uint8).reshape(g.n, width)
-    u, v = np.unpackbits(packed, axis=1, count=g.n, bitorder="little").nonzero()
+    bits = np.unpackbits(packed, axis=1, count=g.n, bitorder="little")
+    u, v = np.divmod(np.flatnonzero(bits), g.n)
     upper = u < v
     return u[upper], v[upper]
 

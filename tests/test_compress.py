@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from conftest import column_tables_by_row, compress_set, staircase_mask
 import edgeiso.compress
 from edgeiso.compress import (_NEG, DiagramOptimizer, _classify_chain,
-                              _colex_cells, _column_tables, _lex_cells, diagram_weight,
+                              _colex_cells, _column_tables, _lex_cells, _optima,
+                              diagram_weight,
                               enumerate_compressed_optimal_orders, power_lex_check,
                               staircase_members, verify_lex_square)
 from edgeiso.delta import DeltaSequence, delta_of, nested_solution_form
@@ -210,6 +211,18 @@ def test_column_tables_match_row_by_row_oracle(deltas):
         assert (table[(nh - x) * ng + 1:] == _NEG).all(), x
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(dp_boxes())
+@example((list(range(64)), [0, 1, 1]))
+def test_two_reused_buffers_give_the_kept_tables_optima(deltas):
+    # _optima writes every table into one of two buffers; the optimizer
+    # keeps each in its own; both read the oracle's optima
+    dh, dg = deltas
+    oracle = column_tables_by_row(dh, dg)[0][:, len(dg)].tolist()
+    two = _optima(DeltaSequence(dh), DeltaSequence(dg))
+    assert two == DiagramOptimizer(DeltaSequence(dh), DeltaSequence(dg)).optima() == oracle
+
+
 def test_optimizer_equals_product_profile_k3():
     d = delta_for(complete(3))
     opt = DiagramOptimizer(d, d)
@@ -226,6 +239,15 @@ def test_optimizer_range_errors():
         opt.optimum(10)
     with pytest.raises(InputError):
         opt.witnesses([-1])
+
+
+def test_optimum_takes_integer_sizes_only():
+    opt = DiagramOptimizer(delta_for(complete(3)), delta_for(complete(3)))
+    for m in (2.0, 2.5):
+        with pytest.raises(TypeError):
+            opt.optimum(m)
+    assert opt.optimum(True) == opt.optimum(1)
+    assert type(opt.optimum(True)) is int
 
 
 @st.composite
@@ -295,6 +317,18 @@ def test_witnesses_refuse_a_table_only_a_disallowed_height_meets():
     opt.tables[0][1, 3] = opt.colw[0][2] + opt.tables[1][-1, 2]
     with pytest.raises(RuntimeError, match="reconstruction failed"):
         opt.witnesses([0, 1])
+
+
+def test_witnesses_recount_each_row_against_the_optimum():
+    # one raised entry of an inner table, at a height below the optimal
+    # one: the least height reaching it starts a row that is no optimum
+    opt = DiagramOptimizer(DeltaSequence((0, 5, 5)), DeltaSequence((0, 1, 2)))
+    assert opt.witnesses([3]).tolist() == [[1, 1, 1]]
+    # column 1 places 2 cells under cap 1; height 0 now claims that value
+    opt.tables[1][2, 0] = opt.tables[1][2, 1]
+    with pytest.raises(RuntimeError, match="reconstruction failed"):
+        opt.witnesses([3])
+    assert opt.witnesses([0, 1, 9]).tolist() == [[0, 0, 0], [1, 0, 0], [3, 3, 3]]
 
 
 def test_failing_power_rebuilds_its_witnesses_in_one_batch(monkeypatch, pet):

@@ -141,7 +141,7 @@ def _check_regular_identity() -> tuple[bool, dict]:
             return False, {"error": f"{g.display_name()} is not regular"}
         member = rng.integers(0, 2, (1000, g.n), dtype=bool)
         induced = graphs_mod._edge_counts_many(g, member)
-        # the boundary is counted edge by edge, apart from the induced kernel
+        # the boundary is its own edge-by-edge tally, not derived from the induced one
         lhs = _crossing_counts(g, member) + 2 * induced
         bad = np.flatnonzero(lhs != r * member.sum(axis=1))
         if bad.size:
@@ -152,9 +152,11 @@ def _check_regular_identity() -> tuple[bool, dict]:
 
 
 def _crossing_counts(g, member) -> np.ndarray:
-    """Edges uv with [u in A] != [v in A], for each row A of ``member``."""
-    u, v = graphs_mod._edge_ends(g)
-    return np.count_nonzero(member[:, u] != member[:, v], axis=1)
+    """Edges uv with [u in A] != [v in A], for each row A of ``member``:
+    the ``_edge_tally`` of edges with exactly one end in the set.  It is
+    counted edge by edge, never from degree sums, so the identity's
+    boundary side stays independent of its induced side."""
+    return graphs_mod._edge_tally(g, member, np.bitwise_xor)
 
 
 def _random_regular(rng: np.random.Generator):

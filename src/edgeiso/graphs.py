@@ -2,11 +2,13 @@
 
 Vertices are dense integers ``0..n-1``.  Each adjacency row is a Python
 int used as a bit mask, so every single-set edge count in this package
-reduces to popcounts of row intersections.  ``_edge_counts_many`` counts
-a whole batch of sets at once, given as a boolean membership matrix, in
-one numpy pass over the edge arrays that ``_edge_ends`` unpacks from the
-rows' bytes; it needs no matmul and no numpy-2-only call.  A vertex set
-is given as an int mask or as an iterable of vertices (``as_mask``).
+reduces to popcounts of row intersections.  ``_edge_tally`` counts a
+whole batch of sets at once, given as a (sets x n) membership matrix: it
+reads the matrix vertex-major, gathers the two end rows of each edge
+that ``_edge_ends`` unpacks from the adjacency bytes, and tallies up to
+255 edges at a time in uint8; it needs no matmul and no numpy-2-only
+call.  A vertex set is given as an int mask or as an iterable of
+vertices (``as_mask``).
 
 The module also hosts the constructor expression grammar
 (``complete(4)``, ``join(X,Y)``, ``power(complete(2),3)``, ...) and the
@@ -29,10 +31,11 @@ from .errors import CapacityError, InputError
 # is no point pretending larger graphs are in scope.
 MAX_VERTICES = 4096
 
-# Sets counted per step of ``_edge_counts_many``.  Its two (sets x edges)
-# boolean temporaries take about 1 MB each on the casebook's largest
-# product, Z(2) squared with 3774 edges.
-_BATCH_ROWS = 256
+# Cells per step of ``_edge_tally``: each step gathers (edges x sets)
+# byte temporaries of at most this many cells (256 KB) unless one edge
+# row is wider, and takes at most 255 edges so that its uint8 sums
+# cannot wrap.
+_TALLY_CELLS = 1 << 18
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -160,21 +163,34 @@ def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return u[upper], v[upper]
 
 
-def _edge_counts_many(g: Graph, member) -> np.ndarray:
-    """Induced edges of many sets at once.
+def _edge_tally(g: Graph, member, op) -> np.ndarray:
+    """For each row A of the (sets x n) matrix ``member``, the number of
+    edges uv with ``op([u in A], [v in A])`` true, as int64.
 
-    ``member`` is a (sets x n) boolean matrix whose row i marks set i.
-    Rows are counted ``_BATCH_ROWS`` at a time, each as the number of
-    edges of ``_edge_ends`` with both ends marked.
+    A nonzero entry marks a member.  The matrix is copied once to a
+    vertex-major byte matrix, so each vertex is one contiguous row of
+    set bits.  Each step gathers the end rows of a run of edges from
+    ``_edge_ends``, combines them in place with ``op`` (``np.bitwise_and``
+    counts induced edges, ``np.bitwise_xor`` crossing ones) and sums the
+    run in uint8: a run has at most 255 edges and ``_TALLY_CELLS`` cells.
     """
+    rows = np.ascontiguousarray(member.T, dtype=bool).view(np.uint8)
+    sets = rows.shape[1]
     u, v = _edge_ends(g)
-    induced = np.empty(len(member), dtype=np.int64)
-    for start in range(0, len(member), _BATCH_ROWS):
-        rows = member[start:start + _BATCH_ROWS]
-        both = rows[:, u]
-        both &= rows[:, v]
-        induced[start:start + len(rows)] = np.count_nonzero(both, axis=1)
-    return induced
+    total = np.zeros(sets, dtype=np.int64)
+    step = max(1, min(255, _TALLY_CELLS // max(sets, 1)))
+    for start in range(0, len(u), step):
+        ends = rows.take(u[start:start + step], axis=0)
+        op(ends, rows.take(v[start:start + step], axis=0), out=ends)
+        total += ends.sum(axis=0, dtype=np.uint8)
+    return total
+
+
+def _edge_counts_many(g: Graph, member) -> np.ndarray:
+    """Induced edges of many sets at once: the ``_edge_tally`` of edges
+    with both ends in the set, for each row of the (sets x n) matrix
+    ``member``."""
+    return _edge_tally(g, member, np.bitwise_and)
 
 
 def induced_edges(g: Graph, a) -> int:

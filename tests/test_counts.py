@@ -2,7 +2,8 @@
 
 For a vertex set A, 2 * I(A) + Theta(A) is the degree sum over A: the
 edge-count kernel in ``graphs`` counts both sides at once, and its
-batched form counts the induced side of many sets in one pass.  For a
+batched tally counts either side of many sets in one pass: edges with
+both ends in the set (induced) or with exactly one (crossing).  For a
 staircase in H x G with both factors in nested-solution order, the
 induced edges are the cell sum of dH[x] + dG[y]: ``compress`` turns that
 into column weights and the diagram DP, and the compression oracle in
@@ -14,14 +15,17 @@ scan, on random factors relabeled by ``nested_solution_form``.
 import random
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_boundary, brute_induced, compress_set, staircase_mask
 from edgeiso.compress import DiagramOptimizer, diagram_weight, staircase_members
 from edgeiso.delta import nested_solution_form
-from edgeiso.graphs import (_BATCH_ROWS, _edge_counts, _edge_counts_many, boundary_edges,
-                            cartesian_product, from_edge_list, induced_edges, petersen)
+from edgeiso.casebook import _crossing_counts
+from edgeiso.graphs import (_TALLY_CELLS, _edge_counts, _edge_counts_many, boundary_edges,
+                            cartesian_product, complete, empty_graph, from_edge_list,
+                            induced_edges, petersen)
 from edgeiso.solver import iso_profile
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -50,14 +54,20 @@ def brute_counts(g, mask):
     return brute_induced(edges, members), brute_boundary(edges, members)
 
 
+def membership(g, masks, dtype=bool):
+    return np.array([[mask >> v & 1 for v in range(g.n)] for mask in masks],
+                    dtype=dtype).reshape(len(masks), g.n)
+
+
 def check_batched_counts(g, masks):
-    """The batched kernel against the scalar kernel and the set oracles."""
-    member = np.array([[mask >> v & 1 for v in range(g.n)] for mask in masks],
-                      dtype=bool).reshape(len(masks), g.n)
+    """Both batched tallies against the scalar kernel and the set oracles."""
+    member = membership(g, masks)
     induced = _edge_counts_many(g, member)
-    assert induced.shape == (len(masks),)
-    for mask, got in zip(masks, induced.tolist()):
-        assert got == _edge_counts(g.adj, mask)[0] == brute_counts(g, mask)[0]
+    crossing = _crossing_counts(g, member)
+    assert induced.shape == crossing.shape == (len(masks),)
+    assert induced.dtype == crossing.dtype == np.int64
+    for mask, got in zip(masks, zip(induced.tolist(), crossing.tolist())):
+        assert got == _edge_counts(g.adj, mask) == brute_counts(g, mask)
 
 
 @PROPERTY
@@ -69,8 +79,12 @@ def test_edge_count_kernel_matches_oracles(g, data):
     assert (induced_edges(g, mask), boundary_edges(g, mask)) == expected
 
 
+# Sets per call up to which a tally step takes its full 255 edges.
+FULL_STEP_SETS = _TALLY_CELLS // 255
+
+
 @PROPERTY
-@given(st.one_of(random_graphs(12), wide_products), st.integers(0, _BATCH_ROWS + 3),
+@given(st.one_of(random_graphs(12), wide_products), st.integers(0, 300),
        st.randoms(use_true_random=False))
 def test_batched_edge_counts_match_scalar_kernel(g, extra, rng):
     full = (1 << g.n) - 1
@@ -78,12 +92,46 @@ def test_batched_edge_counts_match_scalar_kernel(g, extra, rng):
 
 
 def test_batched_edge_counts_across_chunks_of_a_wide_product():
+    # 300 edges: the full set fills one 255-edge step, which a uint8 sum
+    # of a 256-edge step would wrap to zero
     g = cartesian_product(petersen(), petersen())
+    assert g.edge_count() > 255
     rng = random.Random(5)
-    masks = [0, (1 << g.n) - 1] + [rng.getrandbits(g.n) for _ in range(2 * _BATCH_ROWS + 1)]
-    assert len(masks) % _BATCH_ROWS
+    masks = [0, (1 << g.n) - 1] + [rng.getrandbits(g.n) for _ in range(513)]
+    assert len(masks) <= FULL_STEP_SETS
     check_batched_counts(g, masks)
     check_batched_counts(g, [])
+
+
+def test_batched_edge_counts_with_steps_under_255_edges():
+    # past FULL_STEP_SETS sets the cell bound shortens each step
+    g = cartesian_product(petersen(), petersen())
+    rng = random.Random(6)
+    masks = [(1 << g.n) - 1, 0] + [rng.getrandbits(g.n) for _ in range(2 * FULL_STEP_SETS)]
+    assert _TALLY_CELLS // len(masks) < 255
+    check_batched_counts(g, masks)
+
+
+@pytest.mark.parametrize("g", [empty_graph(5), complete(1)], ids=["empty5", "k1"])
+def test_batched_edge_counts_without_edges(g):
+    full = (1 << g.n) - 1
+    check_batched_counts(g, [0, full, full & 0b10101])
+    check_batched_counts(g, [])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.int32])
+def test_batched_edge_counts_read_any_nonzero_entry_as_a_member(dtype):
+    g = cartesian_product(petersen(), complete(3))
+    rng = random.Random(7)
+    masks = [0, (1 << g.n) - 1] + [rng.getrandbits(g.n) for _ in range(40)]
+    member = membership(g, masks)
+    for wide in (membership(g, masks, dtype), 3 * membership(g, masks, dtype)):
+        assert _edge_counts_many(g, wide).tolist() == _edge_counts_many(g, member).tolist()
+        assert _crossing_counts(g, wide).tolist() == _crossing_counts(g, member).tolist()
+    # a column-major or strided view reads the same sets
+    assert _edge_counts_many(g, np.asfortranarray(member)).tolist() == \
+        _edge_counts_many(g, member).tolist()
+    assert _crossing_counts(g, member[::2]).tolist() == _crossing_counts(g, member).tolist()[::2]
 
 
 @PROPERTY

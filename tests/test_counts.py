@@ -20,9 +20,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_boundary, brute_induced, compress_set, staircase_mask
+from edgeiso.casebook import _crossing_counts
 from edgeiso.compress import DiagramOptimizer, diagram_weight, staircase_members
 from edgeiso.delta import nested_solution_form
-from edgeiso.casebook import _crossing_counts
 from edgeiso.graphs import (_TALLY_CELLS, _edge_counts, _edge_counts_many, boundary_edges,
                             cartesian_product, complete, empty_graph, from_edge_list,
                             induced_edges, petersen)

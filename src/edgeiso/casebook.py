@@ -140,23 +140,18 @@ def _check_regular_identity() -> tuple[bool, dict]:
         if not reg:
             return False, {"error": f"{g.display_name()} is not regular"}
         member = rng.integers(0, 2, (1000, g.n), dtype=bool)
-        induced = graphs_mod._edge_counts_many(g, member)
-        # the boundary is its own edge-by-edge tally, not derived from the induced one
-        lhs = _crossing_counts(g, member) + 2 * induced
-        bad = np.flatnonzero(lhs != r * member.sum(axis=1))
+        # the boundary is its own edge-by-edge tally (edges with exactly
+        # one end in the set), never derived from degree sums, so the
+        # identity's two sides stay independent; one call shares the
+        # matrix copy, edge unpack and end-row gathers between them
+        (induced,), (crossing,) = graphs_mod._edge_tally([g], member, np.bitwise_and,
+                                                         np.bitwise_xor)
+        bad = np.flatnonzero(crossing + 2 * induced != r * member.sum(axis=1))
         if bad.size:
             mask = sum(1 << v for v in np.flatnonzero(member[bad[0]]).tolist())
             return False, {"graph": g.display_name(), "mask": hex(mask)}
         checked += len(member)
     return True, {"graphs": len(graphs), "subsets": checked}
-
-
-def _crossing_counts(g, member) -> np.ndarray:
-    """Edges uv with [u in A] != [v in A], for each row A of ``member``:
-    the ``_edge_tally`` of edges with exactly one end in the set.  It is
-    counted edge by edge, never from degree sums, so the identity's
-    boundary side stays independent of its induced side."""
-    return graphs_mod._edge_tally(g, member, np.bitwise_xor)
 
 
 def _random_regular(rng: np.random.Generator):
@@ -244,45 +239,53 @@ def _all_diagrams(nh: int, ng: int) -> np.ndarray:
 
 def _check_diagram_weight() -> tuple[bool, dict]:
     factors = list(_diagram_factors())
-    boxes = {}
-    checked = 0
-    for h_graph in factors:
+    boxes = {}  # (n_h, n_g) -> the box's factor pairs, in factor order
+    for x, h_graph in enumerate(factors):
         dh = delta_mod.delta_of(solver_mod.iso_profile(h_graph))
-        for g_graph in factors:
+        for y, g_graph in enumerate(factors):
             dg = delta_mod.delta_of(solver_mod.iso_profile(g_graph))
-            product = graphs_mod.cartesian_product(h_graph, g_graph)
-            box = (h_graph.n, g_graph.n)
-            if box not in boxes:
-                boxes[box] = _all_diagrams(*box)
-            heights = boxes[box]
-            bad = _first_weight_mismatch(product, dh, dg, heights)
-            if bad is not None:
-                return False, {"factors": (h_graph.display_name(), g_graph.display_name()),
-                               "heights": heights[bad].tolist()}
-            checked += len(heights)
+            boxes.setdefault((h_graph.n, g_graph.n), []).append(
+                ((x, y), graphs_mod.cartesian_product(h_graph, g_graph),
+                 compress_mod._column_weights(dh, dg)))
+    # the pairs of a box share its staircases, so one tally counts them
+    # all; the failure reported is still the first in factor order
+    failures = []
+    checked = 0
+    for box, pairs in boxes.items():
+        heights = _all_diagrams(*box)
+        positions, products, tables = zip(*pairs)
+        bad = _weight_mismatches(products, np.stack(tables), heights)
+        failures += [(xy, heights[row.argmax()].tolist())
+                     for xy, row in zip(positions, bad) if row.any()]
+        checked += bad.size
+    if failures:
+        (x, y), heights = min(failures)
+        return False, {"factors": (factors[x].display_name(), factors[y].display_name()),
+                       "heights": heights}
     rng = np.random.default_rng(17)
     for big in (graphs_mod.petersen(), graphs_mod.graph_z(2)):
         form, d = delta_mod.nested_solution_form(big)
         product = graphs_mod.cartesian_product(form, form)
         heights = np.sort(rng.integers(0, big.n + 1, (1000, big.n)), axis=1)[:, ::-1]
-        bad = _first_weight_mismatch(product, d, d, heights)
-        if bad is not None:
-            return False, {"factors": big.display_name(), "heights": heights[bad].tolist()}
+        (bad,) = _weight_mismatches([product], compress_mod._column_weights(d, d)[None],
+                                    heights)
+        if bad.any():
+            return False, {"factors": big.display_name(), "heights": heights[bad.argmax()].tolist()}
         checked += len(heights)
     return True, {"diagrams_checked": checked}
 
 
-def _first_weight_mismatch(product, dh, dg, heights) -> int | None:
-    """Index of the first row of ``heights`` whose staircase has a
-    column-weight sum other than its induced-edge count in ``product``,
-    or None if every row agrees."""
-    nh, ng = len(dh), len(dg)
-    member = compress_mod.staircase_members(heights, ng)
-    direct = graphs_mod._edge_counts_many(product, member)
-    table = compress_mod._column_weights(dh, dg)
-    formula = table[np.arange(nh), heights].sum(axis=1)
-    bad = np.flatnonzero(formula != direct)
-    return int(bad[0]) if bad.size else None
+def _weight_mismatches(products, tables, heights) -> np.ndarray:
+    """(products x staircases) bool, True where a staircase's column-weight
+    sum differs from its induced-edge count in a product.  Each row of
+    ``heights`` is a staircase in the products' common box, and
+    ``tables`` stacks each product's (n_h x n_g + 1) ``_column_weights``
+    table; one tally counts every product."""
+    _, nh, top = tables.shape
+    member = compress_mod.staircase_members(heights, top - 1)
+    (direct,) = graphs_mod._edge_tally(products, member, np.bitwise_and)
+    formula = tables[:, np.arange(nh), heights].sum(axis=2)
+    return formula != direct
 
 
 def _check_dp_exact() -> tuple[bool, dict]:

@@ -3,12 +3,13 @@
 Vertices are dense integers ``0..n-1``.  Each adjacency row is a Python
 int used as a bit mask, so every single-set edge count in this package
 reduces to popcounts of row intersections.  ``_edge_tally`` counts a
-whole batch of sets at once, given as a (sets x n) membership matrix: it
-reads the matrix vertex-major, gathers the two end rows of each edge
-that ``_edge_ends`` unpacks from the adjacency bytes, and tallies up to
-255 edges at a time in uint8; it needs no matmul and no numpy-2-only
-call.  A vertex set is given as an int mask or as an iterable of
-vertices (``as_mask``).
+whole batch of sets at once, given as a (sets x n) membership matrix,
+in any number of graphs on those n vertices: it reads the matrix
+vertex-major once, gathers the two end rows of each edge that
+``_edge_ends`` unpacks from all the graphs' adjacency bytes at once, and
+sums each graph's segment of up to 255 edges at a time in byte lanes; it
+needs no matmul and no numpy-2-only call.  A vertex set is given as an
+int mask or as an iterable of vertices (``as_mask``).
 
 The module also hosts the constructor expression grammar
 (``complete(4)``, ``join(X,Y)``, ``power(complete(2),3)``, ...) and the
@@ -32,9 +33,9 @@ from .errors import CapacityError, InputError
 MAX_VERTICES = 4096
 
 # Cells per step of ``_edge_tally``: each step gathers (edges x sets)
-# byte temporaries of at most this many cells (256 KB) unless one edge
-# row is wider, and takes at most 255 edges so that its uint8 sums
-# cannot wrap.
+# byte temporaries of at most this many cells (256 KB), plus each edge
+# row's padding to whole 8-byte words, unless one edge row is wider, and
+# takes at most 255 edges so that no byte lane of its sums can carry.
 _TALLY_CELLS = 1 << 18
 
 
@@ -147,50 +148,73 @@ def _edge_counts(adj, mask: int) -> tuple[int, int]:
     return inner2 // 2, degsum - inner2
 
 
-def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The edges as two intp arrays (u, v) with u < v, in ``edges()`` order.
+def _edge_ends(graphs, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges of ``graphs``, each on ``n`` vertices, as three intp
+    arrays (graph, u, v) with u < v: graph by graph in the order given,
+    and each graph's edges in ``edges()`` order.
 
-    The rows' little-endian bytes unpack to the n x n adjacency matrix,
-    whose flat nonzero positions come in row-major order and split into
-    (row, column) by divmod; the upper triangle keeps each edge once.
+    All the rows' little-endian bytes unpack at once to the stacked
+    n x n adjacency matrices, whose flat nonzero positions come in
+    (graph, row, column) order and split into those by divmod; the upper
+    triangle keeps each edge once.
     """
-    width = (g.n + 7) // 8
-    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in g.adj),
-                           dtype=np.uint8).reshape(g.n, width)
-    bits = np.unpackbits(packed, axis=1, count=g.n, bitorder="little")
-    u, v = np.divmod(np.flatnonzero(bits), g.n)
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for g in graphs for row in g.adj),
+                           dtype=np.uint8).reshape(len(graphs) * n, width)
+    bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
+    which, cell = np.divmod(np.flatnonzero(bits), n * n)
+    u, v = np.divmod(cell, n)
     upper = u < v
-    return u[upper], v[upper]
+    return which[upper], u[upper], v[upper]
 
 
-def _edge_tally(g: Graph, member, op) -> np.ndarray:
-    """For each row A of the (sets x n) matrix ``member``, the number of
-    edges uv with ``op([u in A], [v in A])`` true, as int64.
+def _edge_tally(graphs, member, *ops) -> np.ndarray:
+    """Edge tallies of many graphs over many sets: entry [k, i, j] of the
+    int64 (ops x graphs x sets) result counts the edges uv of graphs[i]
+    with ``ops[k]([u in A], [v in A])`` true, A being row j of the
+    (sets x n) matrix ``member``, so unpacking it gives one
+    (graphs x sets) array per op.  Every graph must have n vertices, and
+    a nonzero entry marks a member.
 
-    A nonzero entry marks a member.  The matrix is copied once to a
-    vertex-major byte matrix, so each vertex is one contiguous row of
-    set bits.  Each step gathers the end rows of a run of edges from
-    ``_edge_ends``, combines them in place with ``op`` (``np.bitwise_and``
-    counts induced edges, ``np.bitwise_xor`` crossing ones) and sums the
-    run in uint8: a run has at most 255 edges and ``_TALLY_CELLS`` cells.
+    The matrix is copied once to vertex-major bytes, and ``_edge_ends``
+    lists all the graphs' edges in one array.  Each step gathers the end
+    rows of a run of at most 255 edges and ``_TALLY_CELLS`` cells once,
+    combines them with each op (``np.bitwise_and`` counts induced edges,
+    ``np.bitwise_xor`` crossing ones) and sums each graph's segment of the
+    run in byte lanes, one per set: a column sum where the run holds one
+    graph's edges, else one ``reduceat`` over uint64 words.  A graph whose
+    edges straddle runs gets each run's sum.
     """
-    rows = np.ascontiguousarray(member.T, dtype=bool).view(np.uint8)
-    sets = rows.shape[1]
-    u, v = _edge_ends(g)
-    total = np.zeros(sets, dtype=np.int64)
+    sets, n = member.shape
+    for g in graphs:
+        if g.n != n:
+            raise ValueError(f"{g.display_name()} has {g.n} vertices, but the sets are on {n}")
+    # zero columns pad each vertex row to whole 8-byte words, so that a
+    # run's rows can also be read as uint64 words
+    rows = np.zeros((n, -(-sets // 8) * 8), dtype=bool)
+    rows[:, :sets] = member.T
+    rows = rows.view(np.uint8)
+    which, u, v = _edge_ends(graphs, n)
+    total = np.zeros((len(ops), len(graphs), sets), dtype=np.int64)
     step = max(1, min(255, _TALLY_CELLS // max(sets, 1)))
     for start in range(0, len(u), step):
-        ends = rows.take(u[start:start + step], axis=0)
-        op(ends, rows.take(v[start:start + step], axis=0), out=ends)
-        total += ends.sum(axis=0, dtype=np.uint8)
+        run = slice(start, start + step)
+        first, second = rows.take(u[run], axis=0), rows.take(v[run], axis=0)
+        owner = which[run]
+        heads = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
+        for k, op in enumerate(ops):
+            ends = op(first, second)
+            if len(heads) == 1:
+                # the one-segment case of the sum below: a uint8 column
+                # sum and one row's add cost half as much as reduceat and
+                # a scattered add, on the one-graph calls of small graphs
+                total[k, owner[0]] += ends.sum(axis=0, dtype=np.uint8)[:sets]
+            else:
+                # a byte sums at most 255 zeros and ones, so a uint64 add
+                # never carries between bytes and adds eight sets at once
+                words = np.add.reduceat(ends.view(np.uint64), heads, axis=0)
+                total[k, owner[heads]] += words.view(np.uint8)[:, :sets]
     return total
-
-
-def _edge_counts_many(g: Graph, member) -> np.ndarray:
-    """Induced edges of many sets at once: the ``_edge_tally`` of edges
-    with both ends in the set, for each row of the (sets x n) matrix
-    ``member``."""
-    return _edge_tally(g, member, np.bitwise_and)
 
 
 def induced_edges(g: Graph, a) -> int:

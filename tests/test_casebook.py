@@ -140,17 +140,32 @@ def test_brute_force_claims_check_every_subset_and_diagram():
 
 
 def _record_checked_sets(monkeypatch) -> list:
-    """Patch the vectorized edge counter to record each (graph, member
-    matrix) it is asked to count, in call order."""
+    """Patch the edge tally to record each (graphs, member matrix) it is
+    asked to count, in call order."""
     seen = []
-    real = edgeiso.graphs._edge_counts_many
+    real = edgeiso.graphs._edge_tally
 
-    def record(g, member):
-        seen.append((g, member.copy()))
-        return real(g, member)
+    def record(graphs, member, *ops):
+        seen.append((list(graphs), member.copy()))
+        return real(graphs, member, *ops)
 
-    monkeypatch.setattr(edgeiso.graphs, "_edge_counts_many", record)
+    monkeypatch.setattr(edgeiso.graphs, "_edge_tally", record)
     return seen
+
+
+def _miscount(monkeypatch, op, error) -> None:
+    """Patch the edge tally so that its ``op`` counts come back plus
+    ``error(graphs, member)``, broadcast over (graphs x sets)."""
+    real = edgeiso.graphs._edge_tally
+
+    def miscount(graphs, member, *ops):
+        counts = real(graphs, member, *ops)
+        for k, each in enumerate(ops):
+            if each is op:
+                counts[k] += error(graphs, member)
+        return counts
+
+    monkeypatch.setattr(edgeiso.graphs, "_edge_tally", miscount)
 
 
 def test_seeded_claims_draw_the_generator_inputs(monkeypatch):
@@ -158,13 +173,13 @@ def test_seeded_claims_draw_the_generator_inputs(monkeypatch):
     # draws of np.random.default_rng(41) and (17), made in this order
     members = _record_checked_sets(monkeypatch)
     staircases = []
-    real_mismatch = edgeiso.casebook._first_weight_mismatch
+    real_mismatches = edgeiso.casebook._weight_mismatches
 
-    def record_heights(product, dh, dg, heights):
+    def record_heights(products, tables, heights):
         staircases.append(heights.copy())
-        return real_mismatch(product, dh, dg, heights)
+        return real_mismatches(products, tables, heights)
 
-    monkeypatch.setattr(edgeiso.casebook, "_first_weight_mismatch", record_heights)
+    monkeypatch.setattr(edgeiso.casebook, "_weight_mismatches", record_heights)
     results = run_casebook(SEEDED_IDS)
     assert [r.status for r in results] == ["pass", "pass"]
 
@@ -175,12 +190,12 @@ def test_seeded_claims_draw_the_generator_inputs(monkeypatch):
         if g is not None:
             graphs.append(g)
     for g, (seen, member) in zip(graphs, members[:54], strict=True):
-        assert seen.edges() == g.edges()
+        assert [each.edges() for each in seen] == [g.edges()]
         assert member.dtype == bool
         assert np.array_equal(member, rng.integers(0, 2, (1000, g.n), dtype=bool))
 
-    # Petersen squared, then Z(2) squared, after the 225 factor boxes
-    assert len(staircases) == 227
+    # Petersen squared, then Z(2) squared, after the 16 boxes of factor pairs
+    assert len(staircases) == 18
     rng = np.random.default_rng(17)
     for n, heights in zip((10, 17), staircases[-2:]):
         assert heights.dtype == np.int64
@@ -196,7 +211,7 @@ def test_seeded_claims_draw_alike_in_either_order(monkeypatch):
     def checked(ids):
         seen.clear()
         assert {r.status for r in run_casebook(ids)} == {"pass"}
-        return [(g.edges(), member) for g, member in seen]
+        return [([g.edges() for g in graphs], member) for graphs, member in seen]
 
     alone = {claim: checked([claim]) for claim in SEEDED_IDS}
     for ids in (SEEDED_IDS, SEEDED_IDS[::-1]):
@@ -277,31 +292,21 @@ def test_regular_identity_graphs_are_the_reference_draws():
 
 def test_regular_identity_detects_a_consistent_miscount(monkeypatch):
     # induced +1 on every non-empty set, the same on every graph
-    real = edgeiso.graphs._edge_counts_many
-
-    def miscount(g, member):
-        return real(g, member) + member.any(axis=1)
-
-    monkeypatch.setattr(edgeiso.graphs, "_edge_counts_many", miscount)
+    _miscount(monkeypatch, np.bitwise_and, lambda graphs, member: member.any(axis=1))
     result = run_casebook(["regular-identity"])[0]
     assert result.status == "fail"
     assert "mask" in result.artifacts
 
 
 def test_regular_identity_counts_the_boundary_apart(monkeypatch):
-    # the same miscount on the crossing side alone, with the kernel intact
-    real = edgeiso.casebook._crossing_counts
-
-    def miscount(g, member):
-        return real(g, member) - 2 * member.any(axis=1)
-
-    monkeypatch.setattr(edgeiso.casebook, "_crossing_counts", miscount)
+    # the same miscount on the crossing side alone, with the induced side intact
+    _miscount(monkeypatch, np.bitwise_xor, lambda graphs, member: -2 * member.any(axis=1))
     members = _record_checked_sets(monkeypatch)
     result = run_casebook(["regular-identity"])[0]
     assert result.status == "fail"
     assert result.artifacts["graph"] == "petersen"
     # the mask is the first non-empty subset drawn for Petersen, bit v for vertex v
-    g, member = members[0]
+    (g,), member = members[0]
     first = member[member.any(axis=1)][0]
     mask = int(result.artifacts["mask"], 16)
     assert [bool(mask >> v & 1) for v in range(g.n)] == first.tolist()
@@ -327,15 +332,12 @@ def test_diagram_weight_detects_a_wrong_column_weight(monkeypatch):
 def test_diagram_weight_detects_a_direct_miscount(monkeypatch, faulty_n):
     # +1 induced edge on full sets of every product, or on every set of
     # Petersen squared alone
-    real = edgeiso.graphs._edge_counts_many
-
-    def miscount(g, member):
-        induced = real(g, member)
+    def error(graphs, member):
         if faulty_n is None:
-            return induced + member.all(axis=1)
-        return induced + 1 if g.n == faulty_n else induced
+            return member.all(axis=1)
+        return np.array([[g.n == faulty_n] for g in graphs])
 
-    monkeypatch.setattr(edgeiso.graphs, "_edge_counts_many", miscount)
+    _miscount(monkeypatch, np.bitwise_and, error)
     result = run_casebook(["diagram-weight-formula"])[0]
     assert result.status == "fail"
     if faulty_n is None:
@@ -345,6 +347,23 @@ def test_diagram_weight_detects_a_direct_miscount(monkeypatch, faulty_n):
         first = -np.sort(-draws[0])
         expected = {"factors": "petersen", "heights": first.tolist()}
     assert result.artifacts == expected
+
+
+def test_diagram_weight_reports_the_first_failure_in_factor_order(monkeypatch):
+    # full sets miscounted in two products: (complete(2), complete(5)) comes
+    # first in factor order but sits in the 2x5 box, which is tallied after
+    # the 2x2 box that holds (path(2), complete(2))
+    faulty = {"product(complete(2),complete(5))", "product(path(2),complete(2))"}
+    _miscount(monkeypatch, np.bitwise_and, lambda graphs, member:
+              np.array([[g.name in faulty] for g in graphs]) & member.all(axis=1))
+    calls = _record_checked_sets(monkeypatch)
+    result = run_casebook(["diagram-weight-formula"])[0]
+    assert result.status == "fail"
+    assert result.artifacts == {"factors": ("complete(2)", "complete(5)"), "heights": [5, 5]}
+    # all 16 boxes were tallied, the 2x2 box before the 2x5 box
+    box_of = {g.name: i for i, (graphs, _) in enumerate(calls) for g in graphs}
+    assert len(calls) == 16
+    assert box_of["product(path(2),complete(2))"] < box_of["product(complete(2),complete(5))"]
 
 
 def test_z_construction_artifacts():

@@ -2,14 +2,15 @@
 
 For a vertex set A, 2 * I(A) + Theta(A) is the degree sum over A: the
 edge-count kernel in ``graphs`` counts both sides at once, and its
-batched tally counts either side of many sets in one pass: edges with
-both ends in the set (induced) or with exactly one (crossing).  For a
-staircase in H x G with both factors in nested-solution order, the
-induced edges are the cell sum of dH[x] + dG[y]: ``compress`` turns that
-into column weights and the diagram DP, and the compression oracle in
-``conftest`` pushes any set into staircase form.  Each property is
-checked against the set-based oracles in ``conftest`` or the exhaustive
-scan, on random factors relabeled by ``nested_solution_form``.
+batched tally counts either side of many sets in many graphs on one
+vertex set in one pass: edges with both ends in the set (induced) or
+with exactly one (crossing).  For a staircase in H x G with both
+factors in nested-solution order, the induced edges are the cell sum of
+dH[x] + dG[y]: ``compress`` turns that into column weights and the
+diagram DP, and the compression oracle in ``conftest`` pushes any set
+into staircase form.  Each property is checked against the set-based
+oracles in ``conftest`` or the exhaustive scan, on random factors
+relabeled by ``nested_solution_form``.
 """
 
 import random
@@ -20,12 +21,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_boundary, brute_induced, compress_set, staircase_mask
-from edgeiso.casebook import _crossing_counts
 from edgeiso.compress import DiagramOptimizer, diagram_weight, staircase_members
 from edgeiso.delta import nested_solution_form
-from edgeiso.graphs import (_TALLY_CELLS, _edge_counts, _edge_counts_many, boundary_edges,
-                            cartesian_product, complete, empty_graph, from_edge_list,
-                            induced_edges, petersen)
+from edgeiso.graphs import (_TALLY_CELLS, _edge_counts, _edge_tally, boundary_edges,
+                            cartesian_product, complete, cycle, empty_graph, from_edge_list,
+                            induced_edges, path, petersen)
 from edgeiso.solver import iso_profile
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -59,15 +59,20 @@ def membership(g, masks, dtype=bool):
                     dtype=dtype).reshape(len(masks), g.n)
 
 
-def check_batched_counts(g, masks):
-    """Both batched tallies against the scalar kernel and the set oracles."""
-    member = membership(g, masks)
-    induced = _edge_counts_many(g, member)
-    crossing = _crossing_counts(g, member)
-    assert induced.shape == crossing.shape == (len(masks),)
+def check_batched_counts(graphs, masks, member=None):
+    """Both tallies of every graph against the scalar kernel, and of the
+    first graph against the set oracles too; ``member`` defaults to the
+    boolean membership matrix of ``masks``."""
+    if member is None:
+        member = membership(graphs[0], masks)
+    induced, crossing = _edge_tally(graphs, member, np.bitwise_and, np.bitwise_xor)
+    assert induced.shape == crossing.shape == (len(graphs), len(masks))
     assert induced.dtype == crossing.dtype == np.int64
-    for mask, got in zip(masks, zip(induced.tolist(), crossing.tolist())):
-        assert got == _edge_counts(g.adj, mask) == brute_counts(g, mask)
+    for g, counts in zip(graphs, zip(induced.tolist(), crossing.tolist())):
+        for mask, got in zip(masks, zip(*counts)):
+            assert got == _edge_counts(g.adj, mask)
+    for mask, got in zip(masks, zip(induced[0].tolist(), crossing[0].tolist())):
+        assert got == brute_counts(graphs[0], mask)
 
 
 @PROPERTY
@@ -88,50 +93,78 @@ FULL_STEP_SETS = _TALLY_CELLS // 255
        st.randoms(use_true_random=False))
 def test_batched_edge_counts_match_scalar_kernel(g, extra, rng):
     full = (1 << g.n) - 1
-    check_batched_counts(g, [0, full] + [rng.getrandbits(g.n) for _ in range(extra)])
+    check_batched_counts([g], [0, full] + [rng.getrandbits(g.n) for _ in range(extra)])
+
+
+@PROPERTY
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(random_graphs(n, min_n=n), max_size=8)),
+       st.integers(0, 40), st.randoms(use_true_random=False))
+def test_many_graph_tally_matches_scalar_kernel(graphs, extra, rng):
+    # graphs on one vertex set, edgeless ones included, tallied in one call
+    assume(graphs)
+    n = graphs[0].n
+    full = (1 << n) - 1
+    check_batched_counts(graphs, [0, full] + [rng.getrandbits(n) for _ in range(extra)])
+
+
+def wide_graph_list():
+    """Graphs on 100 vertices with 0, 300, 190, 300 and 0 edges: in steps
+    of 255 edges each Petersen squared straddles a step, the first in a
+    step of its own edges alone and the second across two steps that it
+    shares with another graph."""
+    square = cartesian_product(petersen(), petersen())
+    grid = cartesian_product(cycle(10), path(10))
+    return [empty_graph(100), square, grid, square, empty_graph(100)]
 
 
 def test_batched_edge_counts_across_chunks_of_a_wide_product():
     # 300 edges: the full set fills one 255-edge step, which a uint8 sum
     # of a 256-edge step would wrap to zero
-    g = cartesian_product(petersen(), petersen())
-    assert g.edge_count() > 255
+    graphs = wide_graph_list()
+    assert graphs[1].edge_count() > 255
     rng = random.Random(5)
-    masks = [0, (1 << g.n) - 1] + [rng.getrandbits(g.n) for _ in range(513)]
+    masks = [0, (1 << 100) - 1] + [rng.getrandbits(100) for _ in range(513)]
     assert len(masks) <= FULL_STEP_SETS
-    check_batched_counts(g, masks)
-    check_batched_counts(g, [])
+    check_batched_counts(graphs[1:2], masks)
+    check_batched_counts(graphs[1:], masks)
+    check_batched_counts(graphs, [])
 
 
 def test_batched_edge_counts_with_steps_under_255_edges():
     # past FULL_STEP_SETS sets the cell bound shortens each step
-    g = cartesian_product(petersen(), petersen())
+    graphs = wide_graph_list()
     rng = random.Random(6)
-    masks = [(1 << g.n) - 1, 0] + [rng.getrandbits(g.n) for _ in range(2 * FULL_STEP_SETS)]
+    masks = [(1 << 100) - 1, 0] + [rng.getrandbits(100) for _ in range(2 * FULL_STEP_SETS)]
     assert _TALLY_CELLS // len(masks) < 255
-    check_batched_counts(g, masks)
+    check_batched_counts(graphs[1:], masks)
 
 
 @pytest.mark.parametrize("g", [empty_graph(5), complete(1)], ids=["empty5", "k1"])
 def test_batched_edge_counts_without_edges(g):
     full = (1 << g.n) - 1
-    check_batched_counts(g, [0, full, full & 0b10101])
-    check_batched_counts(g, [])
+    check_batched_counts([g], [0, full, full & 0b10101])
+    check_batched_counts([g, g], [])
+    assert _edge_tally([], membership(g, [full]), np.bitwise_and).shape == (1, 0, 1)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.int32])
 def test_batched_edge_counts_read_any_nonzero_entry_as_a_member(dtype):
-    g = cartesian_product(petersen(), complete(3))
+    graphs = [cartesian_product(petersen(), complete(3)), empty_graph(30),
+              cartesian_product(complete(3), petersen())]
     rng = random.Random(7)
-    masks = [0, (1 << g.n) - 1] + [rng.getrandbits(g.n) for _ in range(40)]
-    member = membership(g, masks)
-    for wide in (membership(g, masks, dtype), 3 * membership(g, masks, dtype)):
-        assert _edge_counts_many(g, wide).tolist() == _edge_counts_many(g, member).tolist()
-        assert _crossing_counts(g, wide).tolist() == _crossing_counts(g, member).tolist()
+    masks = [0, (1 << 30) - 1] + [rng.getrandbits(30) for _ in range(40)]
+    member = membership(graphs[0], masks)
+    for wide in (membership(graphs[0], masks, dtype), 3 * membership(graphs[0], masks, dtype)):
+        check_batched_counts(graphs, masks, wide)
     # a column-major or strided view reads the same sets
-    assert _edge_counts_many(g, np.asfortranarray(member)).tolist() == \
-        _edge_counts_many(g, member).tolist()
-    assert _crossing_counts(g, member[::2]).tolist() == _crossing_counts(g, member).tolist()[::2]
+    check_batched_counts(graphs, masks, np.asfortranarray(member))
+    check_batched_counts(graphs, masks[::2], member[::2])
+
+
+def test_tally_refuses_a_graph_off_the_sets_vertex_count():
+    member = membership(petersen(), [0, 5])
+    with pytest.raises(ValueError, match=r"complete\(3\) has 3 vertices"):
+        _edge_tally([petersen(), complete(3)], member, np.bitwise_and)
 
 
 @PROPERTY
@@ -177,7 +210,8 @@ def test_height_row_witnesses_recount_to_the_optimum(factors):
     member = staircase_members(rows, g.n)
     assert member.sum(axis=1).tolist() == list(sizes)
     product = cartesian_product(h, g)
-    assert _edge_counts_many(product, member).tolist() == opt.optima()
+    (induced,) = _edge_tally([product], member, np.bitwise_and)
+    assert induced[0].tolist() == opt.optima()
 
 
 @PROPERTY

@@ -224,10 +224,13 @@ def test_row_built_graphs_match_their_definitions(a, b, d):
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65])
 def test_edge_ends_are_the_edges_in_order(n):
     rng = random.Random(n)
-    for g in (empty_graph(n), random_graph(rng, n), random_graph(rng, n, 0.9), complete(n)):
-        u, v = edgeiso.graphs._edge_ends(g)
-        assert u.dtype == v.dtype == np.intp
-        assert list(zip(u.tolist(), v.tolist())) == g.edges()
+    graphs = [empty_graph(n), random_graph(rng, n), random_graph(rng, n, 0.9), complete(n)]
+    which, u, v = edgeiso.graphs._edge_ends(graphs, n)
+    assert which.dtype == u.dtype == v.dtype == np.intp
+    # graph by graph, each graph's edges in order
+    assert list(zip(which.tolist(), u.tolist(), v.tolist())) == \
+        [(i, *edge) for i, g in enumerate(graphs) for edge in g.edges()]
+    assert all(len(ends) == 0 for ends in edgeiso.graphs._edge_ends([], n))
 
 
 def test_relabel():

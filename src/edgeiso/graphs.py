@@ -181,9 +181,8 @@ def _edge_tally(graphs, member, *ops) -> np.ndarray:
     rows of a run of at most 255 edges and ``_TALLY_CELLS`` cells once,
     combines them with each op (``np.bitwise_and`` counts induced edges,
     ``np.bitwise_xor`` crossing ones) and sums each graph's segment of the
-    run in byte lanes, one per set: a column sum where the run holds one
-    graph's edges, else one ``reduceat`` over uint64 words.  A graph whose
-    edges straddle runs gets each run's sum.
+    run in byte lanes, one per set, with one ``reduceat`` over uint64
+    words.  A graph whose edges straddle runs gets each run's sum.
     """
     sets, n = member.shape
     for g in graphs:
@@ -203,17 +202,10 @@ def _edge_tally(graphs, member, *ops) -> np.ndarray:
         owner = which[run]
         heads = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
         for k, op in enumerate(ops):
-            ends = op(first, second)
-            if len(heads) == 1:
-                # the one-segment case of the sum below: a uint8 column
-                # sum and one row's add cost half as much as reduceat and
-                # a scattered add, on the one-graph calls of small graphs
-                total[k, owner[0]] += ends.sum(axis=0, dtype=np.uint8)[:sets]
-            else:
-                # a byte sums at most 255 zeros and ones, so a uint64 add
-                # never carries between bytes and adds eight sets at once
-                words = np.add.reduceat(ends.view(np.uint64), heads, axis=0)
-                total[k, owner[heads]] += words.view(np.uint8)[:, :sets]
+            # a byte sums at most 255 zeros and ones, so a uint64 add
+            # never carries between bytes and adds eight sets at once
+            words = np.add.reduceat(op(first, second).view(np.uint64), heads, axis=0)
+            total[k, owner[heads]] += words.view(np.uint8)[:, :sets]
     return total
 
 

@@ -39,6 +39,7 @@ adding it swaps those two bits.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from typing import NamedTuple
 
@@ -332,44 +333,45 @@ class OptimalityReport(NamedTuple):
         }
 
 
-def _lex_power_rows(dg: DeltaSequence, d: int) -> tuple[int, tuple[SizeCheck, ...]]:
-    """Lex prefixes of g^k against the exact optimum, inducting on k.
+def _lex_powers(dg: DeltaSequence):
+    """Yield (k, lex rows of g^k) for k = 1, 2, ..., each power once and
+    only when asked for; power 1 is g itself.
 
     ``dg`` is the delta of g in nested-solution form.  Write g^k =
-    g^(k-1) x g.  Lex is optimal on g^(k-1) by the step before, so it is
-    a nested-solution order there and its prefix differences are the
+    g^(k-1) x g.  Lex is optimal on g^(k-1) by the power before, so it
+    is a nested-solution order there and its prefix differences are the
     left factor's delta; the diagram DP then gives the exact optimum of
     g^k per size.  Lex adds the box's cells column by column, so its
     prefix weights are one cumsum of the raveled outer sum of the two
-    deltas.  Returns (2, rows) when lex fails on the square, a failing
-    row's witness the optimal heights joined by commas, or (d, rows of
-    g^d).  Only the square keeps its full table set, for witnesses: by
-    Ahlswede and Cai's local-global principle, lex optimal on g^2 is
-    optimal on every power, so a later failing power is a solver bug.
+    deltas.  The walk stops after a failing square, a failing row's
+    witness the optimal heights joined by commas.  Only the square keeps
+    its full table set, for witnesses: by Ahlswede and Cai's local-global
+    principle, lex optimal on g^2 is optimal on every power, so a later
+    failing power raises RuntimeError, a solver bug.  A passing walk
+    never ends; every power of one vertex is that vertex.
     """
     gain_g = np.array(dg.values, dtype=np.int64)
-    gain_h = gain_g
+    gain_h, found = gain_g, {}
     lex = optima = np.cumsum(gain_g)
-    found = {}
-    k = d
-    for k in range(2, d + 1) if len(dg) > 1 else ():  # a one-vertex power is one vertex
-        square = DiagramOptimizer(dg, dg) if k == 2 else None
+    for k in itertools.count(1):
+        sizes = range(1, len(lex) + 1)
+        yield k, tuple(map(SizeCheck, sizes, lex.tolist(), optima.tolist(),
+                           (lex == optima).tolist(), map(found.get, sizes)))
+        if found:
+            return
+        square = DiagramOptimizer(dg, dg) if k == 1 else None
         optima = np.array(_optima(DeltaSequence(gain_h.tolist()), dg) if square is None
                           else square.optima())[1:]
         gain_h = (gain_h[:, None] + gain_g).ravel()
         lex = np.cumsum(gain_h)
         failing = (np.flatnonzero(lex != optima) + 1).tolist()
         if failing and square is None:
-            raise RuntimeError(f"lex fails on power {k} after passing on the square, "
+            raise RuntimeError(f"lex fails on power {k + 1} after passing on the square, "
                                f"against Ahlswede-Cai; solver bug")
         if failing:
             digits = [str(h) for h in range(len(dg) + 1)]
             found = {m: ",".join([digits[h] for h in hs])
                      for m, hs in zip(failing, square.witnesses(failing).tolist())}
-            break
-    sizes = range(1, len(lex) + 1)
-    return k, tuple(map(SizeCheck, sizes, lex.tolist(), optima.tolist(),
-                        (lex == optima).tolist(), map(found.get, sizes)))
 
 
 def verify_lex_square(g: Graph, profile: IsoProfile | None = None) -> OptimalityReport:
@@ -379,7 +381,7 @@ def verify_lex_square(g: Graph, profile: IsoProfile | None = None) -> Optimality
     lex prefix weights are then compared against the diagram DP optimum
     for each of the n^2 sizes.  Exact, not sampled.
     """
-    _, rows = _lex_power_rows(ns_delta(g, profile), 2)
+    _, (_, rows) = itertools.islice(_lex_powers(ns_delta(g, profile)), 2)
     return OptimalityReport(
         subject=f"lex chain on {g.display_name()} squared",
         rows=rows, ok=all(row.ok for row in rows), evidence_only=False,
@@ -393,11 +395,12 @@ def power_lex_check(g: Graph, d: int, mode: str = "exhaustive",
     Labels follow a nested-solution order of the base graph, so the
     first m labels of the power are the lex-least m coordinate tuples.
     ``exhaustive`` scans all 2^(n^d) subsets of the relabeled power, up
-    to the 32-vertex scan ceiling.  ``compressed`` inducts on the power
-    with the diagram DP on delta sequences, up to ``MAX_DP_CELLS``.  When
+    to the 32-vertex scan ceiling.  ``compressed`` walks the powers 2..d
+    once, one diagram DP on delta sequences each, up to ``MAX_DP_CELLS``.  When
     lex fails on the square and d > 2, the report covers g^2: a lex
     prefix of g^2 sits in a copy of g^2 inside g^d, so fails there too.
     """
+    d = operator.index(d)  # a float would never equal a power the walk yields
     if mode not in ("exhaustive", "compressed"):
         raise InputError(f"unknown mode {mode!r}; use exhaustive or compressed")
     if d < 1:
@@ -409,7 +412,11 @@ def power_lex_check(g: Graph, d: int, mode: str = "exhaustive",
             raise CapacityError(
                 f"compressed check of {g.n}^{d} vertices exceeds the {MAX_DP_CELLS}-cell "
                 f"bound on its column DP")
-        k, rows = _lex_power_rows(ns_delta(g, profile), d)
+        for k, rows in _lex_powers(ns_delta(g, profile)):
+            if g.n == 1:
+                k = d  # every power of one vertex is that vertex
+            if k == d:
+                break
         subject = f"lex prefixes of {name}^{k}"
         note = f"iterated diagram DP, exact optima of powers 1..{k}"
         if k < d:

@@ -133,6 +133,27 @@ def test_local_global_detects_a_failing_power(monkeypatch):
     assert result.artifacts["complete(2)^10"] == {"sizes": 1024, "ok": True}
 
 
+def test_local_global_walks_each_base_once(monkeypatch):
+    def count(module, name):
+        calls = []
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    tables = count(edgeiso.compress, "_column_tables")
+    certified = count(edgeiso.delta, "ns_delta")
+    optima = count(edgeiso.compress, "_optima")
+    assert run_casebook(["power-lex-local-global"])[0].status == "pass"
+    # one DP per power: 2..6 of complete(3), 2..10 of complete(2)
+    assert (len(tables), len(certified)) == (5 + 9, 2)
+    optima.clear()
+    assert all(r.status == "pass" for r in run_casebook())
+    # one per distinct delta pair: 12 powers past the square, and the
+    # squares of complete(3..5) and Z(2) in the chain surveys
+    assert len(optima) == 16
+    assert len({(tuple(dh.values), tuple(dg.values)) for dh, dg in optima}) == 16
+
+
 def test_brute_force_claims_check_every_subset_and_diagram():
     results = {r.id: r for r in run_casebook(["regular-identity", "diagram-weight-formula"])}
     assert results["regular-identity"].artifacts == {"graphs": 54, "subsets": 54000}

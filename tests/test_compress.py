@@ -537,6 +537,14 @@ def test_power_lex_check_guards_come_first(monkeypatch):
                 power_lex_check(complete(2), d, mode=mode)
     with pytest.raises(CapacityError, match="cell bound"):
         power_lex_check(graph_z(2), 4, mode="compressed")
+    # a float exponent would never equal a power the compressed walk yields
+    for mode in ("exhaustive", "compressed"):
+        with pytest.raises(TypeError):
+            power_lex_check(complete(2), 2.5, mode=mode)
+    monkeypatch.undo()
+    for mode in ("exhaustive", "compressed"):
+        report = power_lex_check(complete(2), True, mode=mode)
+        assert report.subject == "lex prefixes of complete(2)^1" and len(report.rows) == 2
 
 
 # the smallest irregular graph with lex optimal on its square
@@ -567,6 +575,10 @@ def count_calls(monkeypatch, name):
 def test_square_runs_the_column_dp_once(monkeypatch, pet):
     calls = count_calls(monkeypatch, "_column_tables")
     assert not verify_lex_square(pet).ok
+    assert len(calls) == 1
+    calls.clear()
+    # a passing square stops the walk before the cube's DP
+    assert verify_lex_square(complete(4)).ok
     assert len(calls) == 1
     calls.clear()
     assert not power_lex_check(path(3), 3, mode="compressed").ok

@@ -115,8 +115,8 @@ def _column_tables(dh: DeltaSequence, dg: DeltaSequence, kept: int | None = None
     [u, c].  Column x at height h adds colw[x, h] to after[h, u - h].
     Read as rows one entry shorter, the flat buffer shifts row h left by
     h, so one skewed add gives every (h, u) at once, with u < h landing
-    in the pad.  A running maximum over h, one contiguous row per h,
-    then turns "height h" into "height at most c".  Only sizes
+    in the pad.  A running maximum down the h axis, one numpy call per
+    column, then turns "height h" into "height at most c".  Only sizes
     u <= (n_h - x) * n_g fit in columns x..; the rest stay ``_NEG``.
 
     Table x is written into buffer x % b of the b = ``kept`` buffers
@@ -142,8 +142,7 @@ def _column_tables(dh: DeltaSequence, dg: DeltaSequence, kept: int | None = None
         cur = buffers[x % b]
         best = cur[:, ng:ng + feasible]
         np.add(skewed[:, :feasible], colw[x, :, None], out=best)
-        for h in range(1, ng + 1):
-            np.maximum(best[h - 1], best[h], out=best[h])
+        np.maximum.accumulate(best, axis=0, out=best)
         yield cur[:, ng:].T
         after = cur
 

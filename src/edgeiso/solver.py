@@ -12,8 +12,10 @@ Two scan strategies exist and must agree bit for bit:
                       order; each step flips one vertex and updates the
                       induced count with a single neighbor popcount.
 * ``blocks``        - the subset space is split into disjoint blocks
-                      that fix all but the lowest 18 bits, so one
-                      block's tables fit a per-core L2 cache.  Counts
+                      that fix all but the lowest k bits, with k set
+                      by the vertex count alone (``_scan_blocks``) and
+                      at most 18, so one block's tables fit a per-core
+                      L2 cache.  Counts
                       over all low-bit subsets, grouped by popcount,
                       are built once, each piece of the layout by one
                       broadcast add of two half tables; the blocks are
@@ -25,8 +27,8 @@ Two scan strategies exist and must agree bit for bit:
                       extreme, picked by value, so the order of the
                       masks within a popcount segment never matters.
                       One thread walks every block; Gray order is not
-                      mask order, so each size keeps its best as a
-                      (value, mask) key and a tie keeps the least mask.
+                      mask order, so each size keeps its best value and
+                      witness mask, and a tie keeps the least mask.
 
 Witness ties always resolve to the numerically smallest bit mask, which
 is what makes the strategies comparable.  The brute reference oracles
@@ -75,6 +77,14 @@ THREADS_ENV = "EDGEISO_THREADS"
 # k = 18 is still the fastest: complete(3)^3 scanned in 7.4-9.7 ms at
 # k = 18, 8.1-10.2 at 19 and 11.5-13.2 at 20 (one thread, 2-vCPU Xeon).
 # The tables are built once per scan, grouped by popcount (``_HALF_BITS``).
+#
+# Below that cap the width is k = min(n, 18, (n + 10) // 2), which weighs
+# the set-up's work on 2^k entries against the walk's per-block Python
+# cost over 2^(n - k) blocks: one block up to 10 vertices, 13 bits at 17,
+# 15 at 20, 17 at 24 and 18 from 26.  A sweep of k = 12..18 (in-process
+# medians, one thread of a 2-vCPU Xeon) put the fastest width at 13-14
+# bits at n = 17, 14-15 at 18, 14-16 at 20, 17 at 24 and 18 at 27;
+# path(4) x path(5) took 0.98 ms at 15 bits and 2.21 ms at 18.
 _BLOCK_LOW_BITS = 18
 # The low-mask tables are built grouped by popcount from a low half of at
 # most this many bits and a high half of the rest (``_low_tables``), so
@@ -382,13 +392,15 @@ def _low_tables(adj, weights: list, k: int, dtype):
 def _scan_blocks(g: Graph, degree: int | None = None):
     """(induced, boundary, induced witnesses, boundary witnesses).
 
-    ``degree`` is r when g is r-regular: then no boundary table is kept,
-    that pair is None, and only the blocks without the top high vertex
-    are walked, each one also answering for its complement block.
+    The low k = min(n, 18, (n + 10) // 2) bits vary inside a block and
+    the other n - k fix it (``_BLOCK_LOW_BITS``).  ``degree`` is r when g
+    is r-regular: then no boundary table is kept, that pair is None, and
+    only the blocks without the top high vertex are walked, each one also
+    answering for its complement block.
     """
     n, adj = g.n, g.adj
     deg = [row.bit_count() for row in adj]
-    k = min(n, _BLOCK_LOW_BITS)
+    k = min(n, _BLOCK_LOW_BITS, (n + 10) // 2)
     hi = n - k
     boundary = degree is None
     mirror = not boundary and hi > 0
@@ -423,12 +435,15 @@ def _scan_blocks(g: Graph, degree: int | None = None):
     low_all = (1 << k) - 1
     high_all = ((1 << hi) - 1) << k
 
-    # Blocks are visited in Gray order, not mask order, so ties are settled
-    # by comparing (value, full mask) keys, which keeps the least-mask
-    # witness.  Sentinels lose to every real key: -induced <= 0, boundary
-    # < n*n.
-    best_i = [(1, 0)] * (n + 1)
-    best_t = [(n * n + 1, 0)] * (n + 1)
+    # Blocks are visited in Gray order, not mask order, so a tie beats the
+    # kept witness only from a lower block: a block's high bits ``full``
+    # differ from the kept witness's, so comparing them to the whole kept
+    # mask orders the two blocks, and the least-mask witness stays.  The
+    # sentinels lose to every real value: induced >= 0, boundary < n*n.
+    best_i = [-1] * (n + 1)
+    wit_i = [0] * (n + 1)
+    best_t = [n * n + 1] * (n + 1)
+    wit_t = [0] * (n + 1)
     full = ih = dh = 0  # the block's high vertices, their edges and degrees
     for i in range(1 << walked):
         if i:
@@ -450,28 +465,30 @@ def _scan_blocks(g: Graph, degree: int | None = None):
                 dh -= deg[v]
         pch = full.bit_count()
         twin_full = full ^ high_all
-        # a tie beats the kept witness only from a lower block
         for c, top in enumerate(np.maximum.reduceat(ind, starts).tolist()):
             s = pch + c
-            key = (-(top // 2 + ih), full)
-            if key < best_i[s]:
-                best_i[s] = (key[0], full | extreme_mask(ind, c, top))
+            value = top // 2 + ih
+            if value > best_i[s] or value == best_i[s] and full < wit_i[s]:
+                best_i[s] = value
+                wit_i[s] = full | extreme_mask(ind, c, top)
             if mirror:
-                twin = (key[0] + degree * s - edge_total, twin_full)
-                if twin < best_i[n - s]:
-                    last = extreme_mask(ind, c, top, greatest=True)
-                    best_i[n - s] = (twin[0], twin_full | (low_all ^ last))
+                twin = value + edge_total - degree * s
+                t = n - s
+                if twin > best_i[t] or twin == best_i[t] and twin_full < wit_i[t]:
+                    best_i[t] = twin
+                    wit_i[t] = twin_full | (low_all ^ extreme_mask(ind, c, top, greatest=True))
         if not boundary:
             continue
         for c, low in enumerate(np.minimum.reduceat(bnd, starts).tolist()):
-            key = (low + dh - 2 * ih, full)
-            if key < best_t[pch + c]:
-                best_t[pch + c] = (key[0], full | extreme_mask(bnd, c, low))
+            s = pch + c
+            value = low + dh - 2 * ih
+            if value < best_t[s] or value == best_t[s] and full < wit_t[s]:
+                best_t[s] = value
+                wit_t[s] = full | extreme_mask(bnd, c, low)
 
-    induced, induced_witness = [-v for v, _ in best_i], [w for _, w in best_i]
     if not boundary:
-        return induced, None, induced_witness, None
-    return induced, [v for v, _ in best_t], induced_witness, [w for _, w in best_t]
+        return best_i, None, wit_i, None
+    return best_i, best_t, wit_i, wit_t
 
 
 # ============================================================

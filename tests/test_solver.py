@@ -195,12 +195,58 @@ def test_thread_count_does_not_change_output(monkeypatch):
 
 
 def test_production_width_blocks_equal_gray():
-    # One vertex past the default block width: two full-width blocks.
-    import edgeiso.solver as solver
-    g = random_graph(random.Random(26), solver._BLOCK_LOW_BITS + 1)
+    # 19 vertices at the production width: 32 blocks of 14 bits.
+    g = random_graph(random.Random(26), 19)
     assert len(set(degrees(g))) > 1
     gray = profile_tuple(iso_profile(g, strategy="gray"))
     assert profile_tuple(iso_profile(g, strategy="blocks")) == gray
+
+
+class WidthRecorded(Exception):
+    pass
+
+
+def test_block_width_follows_the_vertex_count(monkeypatch):
+    # The low width is min(n, 18, (n + 10) // 2): one block up to 10
+    # vertices, 13 bits at 17, 15 at 20, 17 at 24 and 18 from 26.  The
+    # width is recorded as the tables are built, and the scan stops there.
+    import edgeiso.solver as solver
+    widths = []
+
+    def low_tables(adj, weights, k, dtype):
+        widths.append(k)
+        raise WidthRecorded
+
+    monkeypatch.setattr(solver, "_low_tables", low_tables)
+    sizes = range(10, SCAN_CEILING + 1)
+    for n in sizes:
+        for g in (path(n), cycle(n)):  # a two-table scan and a mirrored one
+            with pytest.raises(WidthRecorded):
+                iso_profile(g)
+    rule = [min(n, 18, (n + 10) // 2) for n in sizes]
+    assert widths == [k for k in rule for _ in range(2)]
+    assert [rule[n - 10] for n in (10, 11, 12, 17, 20, 24, 25, 26, 32)] == [
+        10, 10, 11, 13, 15, 17, 17, 18, 18]
+
+
+@st.composite
+def mid_size_graphs(draw):
+    """Graphs on 11..14 vertices, which the production width splits into
+    blocks: random regular ones, walked mirrored, and random irregular ones."""
+    n = draw(st.integers(11, 14))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        r = draw(st.sampled_from([r for r in range(2, n - 1) if r * n % 2 == 0]))
+        return random_regular_graph(random.Random(seed), n, r)
+    g = random_graph(random.Random(seed), n, draw(st.sampled_from([0.2, 0.4, 0.6])))
+    assume(not is_regular(g)[0])
+    return g
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mid_size_graphs())
+def test_production_width_scans_of_mid_size_graphs_equal_gray(g):
+    assert profile_tuple(iso_profile(g)) == profile_tuple(iso_profile(g, strategy="gray"))
 
 
 @pytest.mark.parametrize("g, digest", [
@@ -211,8 +257,8 @@ def test_production_width_blocks_equal_gray():
 ], ids=["complete(3)^3", "path(4) x path(6)"])
 def test_production_width_profiles_pinned(g, digest):
     # The full-width 2^27 mirrored walk of a regular graph, and the
-    # two-table walk of an irregular one over 64 blocks, pinned to the
-    # digests of their tables and witnesses.
+    # two-table walk of an irregular one over 128 blocks of 17 bits,
+    # pinned to the digests of their tables and witnesses.
     text = json.dumps(iso_profile(g).to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 

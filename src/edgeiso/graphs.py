@@ -385,19 +385,17 @@ def graph_y() -> Graph:
 def graph_z(k: int) -> Graph:
     """X joined with k copies of Y; Z(2) has 17 vertices and 111 edges.
 
-    Built in one pass with the labels of the join chain
-    ``join(...join(join(X, Y), Y)..., Y)``: X on 0..4, then each copy of
-    Y, and an edge between every two vertices of different parts.
+    The join chain ``join(...join(join(X, Y), Y)..., Y)``: X on 0..4,
+    then each copy of Y, and an edge between every two vertices of
+    different parts.
     """
     if k < 1:
         raise InputError(f"Z needs at least 1 copy of Y, got {k}")
     _require_order(5 + 6 * k, f"Z({k})")
-    edges, start = [], 0
-    for part in [graph_x()] + [graph_y()] * k:
-        edges += [(start + u, start + v) for u, v in part.edges()]
-        edges += [(u, v) for u in range(start) for v in range(start, start + part.n)]
-        start += part.n
-    return Graph(start, edges, name=f"Z({k})")
+    z, y = graph_x(), graph_y()
+    for _ in range(k):
+        z = join(z, y)
+    return Graph._of_rows(z.adj, f"Z({k})")
 
 
 def _require_order(n: int, what: str) -> None:

@@ -275,23 +275,21 @@ def _scan_gray(g: Graph, boundary: bool = True):
     return best_i, best_t, wit_i, wit_t
 
 
-def _table_type(top: int, boundary: bool):
+def _table_type(top: int):
     """The narrowest integer type that holds every block-scan table of a
-    graph with E edges, given ``top`` = 2E, with or without the boundary
-    table.
+    graph with E edges, given ``top`` = 2E.
 
-    Every entry of the induced table, the rows and the partial sums that
-    build them counts edge ends, each at most once, so it lies in
-    [0, 2E]: twice the edges inside a low set x plus twice those from x
-    to the block's high vertices H, a degree sum, or twice the edges from
-    one vertex.  The boundary table holds e(x, rest) - e(x, H), with
-    rest = V - x - H, so it lies in [-E, E].  Hence uint8 is exact for
-    the induced table alone while 2E <= 255, int8 for both tables while
-    2E <= 127, and int16 always: 2E <= 32 * 31 = 992 under the ceiling.
-    The popcounts that order the tables are at most 18 in any type.
+    Every table lies in [0, 2E].  An entry of the induced table, the rows
+    and the partial sums that build them counts edge ends, each at most
+    once: twice the edges inside a low set x plus twice those from x to
+    the block's high vertices H, a degree sum, or twice the edges from
+    one vertex.  The boundary table holds E + e(x, rest) - e(x, H), with
+    rest = V - x - H, and both edge counts lie in [0, E].  Each step of
+    the walk leaves a table in that range too, so nothing wraps.  Hence
+    one rule serves both scans: uint8 while 2E <= 255, and int16 past
+    it, which holds 2E <= 32 * 31 = 992 under the ceiling.  The
+    popcounts that order the tables are at most 18 in either type.
     """
-    if boundary:
-        return np.int8 if top <= 127 else np.int16
     return np.uint8 if top <= 255 else np.int16
 
 
@@ -414,10 +412,12 @@ def _scan_blocks(g: Graph, degree: int | None = None):
     weights = [[2 * (adj[v] >> u & 1) for u in range(k)] for v in range(k, k + walked)]
     if boundary:
         weights.append(deg[:k])
-    order, ind, sums, bounds = _low_tables(adj, weights, k,
-                                           _table_type(2 * g.edge_count(), boundary))
+    edge_total = g.edge_count()
+    order, ind, sums, bounds = _low_tables(adj, weights, k, _table_type(2 * edge_total))
     rows = sums[:walked]
-    bnd = sums[walked] - ind if boundary else None
+    if boundary:
+        bnd = sums[walked] - ind
+        bnd += edge_total  # offset by E so the table is unsigned; settles take it off
     starts = np.array(bounds[:-1])
 
     def extreme_mask(table, c: int, top: int, greatest: bool = False) -> int:
@@ -431,7 +431,6 @@ def _scan_blocks(g: Graph, degree: int | None = None):
     # that block's best at size n - s is E - r*s plus H's best at s, and
     # as complementing reverses the mask order, its least witness is the
     # complement of H's greatest maximizer.
-    edge_total = g.edge_count()
     low_all = (1 << k) - 1
     high_all = ((1 << hi) - 1) << k
 
@@ -481,7 +480,7 @@ def _scan_blocks(g: Graph, degree: int | None = None):
             continue
         for c, low in enumerate(np.minimum.reduceat(bnd, starts).tolist()):
             s = pch + c
-            value = low + dh - 2 * ih
+            value = low - edge_total + dh - 2 * ih
             if value < best_t[s] or value == best_t[s] and full < wit_t[s]:
                 best_t[s] = value
                 wit_t[s] = full | extreme_mask(bnd, c, low)

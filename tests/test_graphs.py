@@ -268,13 +268,17 @@ def test_join_construction_blocks():
     assert z2.name == "Z(2)"
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
 def test_z_is_the_join_chain(k):
-    chain = graph_x()
-    for _ in range(k):
-        chain = join(chain, graph_y())
+    # The join chain's edges written out: X on 0..4, copy i of Y on
+    # 5 + 6i..10 + 6i, and every pair of vertices in different parts.
+    x_edges = [(0, 1), (1, 2), (3, 4)]
+    y_edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    parts = [range(5)] + [range(5 + 6 * i, 11 + 6 * i) for i in range(k)]
+    edges = x_edges + [(p[0] + u, p[0] + v) for p in parts[1:] for u, v in y_edges]
+    edges += [(u, v) for i, a in enumerate(parts) for b in parts[i + 1:] for u in a for v in b]
     z = graph_z(k)
-    assert (z.n, z.adj, z.name) == (chain.n, chain.adj, f"Z({k})")
+    assert (z.n, z.adj, z.name) == (5 + 6 * k, from_edge_list(5 + 6 * k, edges).adj, f"Z({k})")
 
 
 def test_sizes_are_checked_before_any_edge_is_built(monkeypatch):

@@ -285,7 +285,7 @@ def check_low_tables(adj, weights, k, dtype):
     assert np.array_equal(ind0, 2 * ((bits @ lower) * bits).sum(axis=1))
 
 
-TABLE_TYPES = (np.uint8, np.int8, np.int16)
+TABLE_TYPES = (np.uint8, np.int16)
 
 
 def spread(top, k):
@@ -296,9 +296,9 @@ def spread(top, k):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_low_tables_group_subset_sums_by_popcount(data):
-    # A one-byte type gets weights up to its maximum over k, so that a
-    # row's sum stays within the type, and at most half its maximum in
-    # low edges; int16 gets weights up to the largest degree, 31.
+    # uint8 gets weights up to its maximum over k, so that a row's sum
+    # stays within the type, and at most half its maximum in low edges;
+    # int16 gets weights up to the largest degree, 31.
     import edgeiso.solver as solver
     k = data.draw(st.integers(1, 12))
     half = data.draw(st.integers(1, k))
@@ -317,29 +317,28 @@ def test_low_tables_group_subset_sums_by_popcount(data):
 def test_low_tables_at_full_width_with_the_largest_entries():
     # The largest entries each type is chosen for.  int16: 2 per edge from
     # a high vertex, degrees up to 31 under the 32-vertex ceiling, and the
-    # most low edges, so entries reach 18 * 31 = 558.  The one-byte types:
-    # a weight row that sums to the type's maximum, and as many low edges
-    # as ``_table_type`` admits, so twice the low edges reach 254 or 126.
+    # most low edges, so entries reach 18 * 31 = 558.  uint8: a weight row
+    # that sums to 255, and as many low edges as ``_table_type`` admits,
+    # so twice the low edges reach 254.
     import edgeiso.solver as solver
     k = solver._BLOCK_LOW_BITS
     check_low_tables(complete(k).adj, [[2] * k, [31] * k], k, np.int16)
-    for dtype in (np.uint8, np.int8):
-        top = int(np.iinfo(dtype).max)
-        g = from_edge_list(k, complete(k).edges()[:top // 2])
-        assert solver._table_type(2 * g.edge_count(), dtype is np.int8) is dtype
-        check_low_tables(g.adj, [[2] * k, spread(top, k)], k, dtype)
+    g = from_edge_list(k, complete(k).edges()[:127])
+    assert solver._table_type(2 * g.edge_count()) is np.uint8
+    check_low_tables(g.adj, [[2] * k, spread(255, k)], k, np.uint8)
 
 
-@pytest.mark.parametrize("top, boundary, dtype", [
-    (126, True, np.int8), (127, True, np.int8), (128, True, np.int16),
-    (254, True, np.int16), (255, True, np.int16), (256, True, np.int16),
-    (126, False, np.uint8), (127, False, np.uint8), (128, False, np.uint8),
-    (254, False, np.uint8), (255, False, np.uint8), (256, False, np.int16),
+@pytest.mark.parametrize("top, dtype", [
+    (0, np.uint8), (126, np.uint8), (127, np.uint8), (128, np.uint8),
+    (254, np.uint8), (255, np.uint8), (256, np.int16), (992, np.int16),
 ])
-def test_table_type_is_the_narrowest_exact_type(top, boundary, dtype):
-    # top = 2E bounds every entry; the boundary table is signed
+def test_table_type_is_the_narrowest_exact_type(top, dtype):
+    # top = 2E bounds every entry of both scans' tables: the boundary
+    # table is stored offset by E, in [0, 2E] like the induced one.  An
+    # edgeless graph has 2E = 0, and complete(32), the largest under the
+    # ceiling, 992.
     import edgeiso.solver as solver
-    assert solver._table_type(top, boundary) is dtype
+    assert solver._table_type(top) is dtype
 
 
 def recording_table_types(monkeypatch):
@@ -355,34 +354,46 @@ def recording_table_types(monkeypatch):
     return used
 
 
-def test_two_table_scan_either_side_of_the_int8_bound(monkeypatch):
-    # Irregular graphs on 12 vertices with 63 and 64 edges: 2E = 126 fits
-    # int8 and 128 does not.  At 6 low bits each scan walks 64 blocks and
-    # its induced table reaches 2E in the last one.
+def test_two_table_scan_either_side_of_the_uint8_bound(monkeypatch):
+    # Irregular graphs on the first 127 and 128 edges of complete(17):
+    # 2E = 254 fits uint8 and 256 does not.  At 6 low bits each scan walks
+    # 2048 blocks; at the production width, 16 blocks of 13 bits, none of
+    # the edges lies among the 4 high vertices, so the induced table
+    # reaches 2E in the block of all of them.
     used = recording_table_types(monkeypatch)
-    pairs = complete(12).edges()
-    for edges in (pairs[3:], pairs[2:]):
-        g = from_edge_list(12, edges)
+    pairs = complete(17).edges()
+    for edges in (pairs[:127], pairs[:128]):
+        g = from_edge_list(17, edges)
         assert not is_regular(g)[0]
-        prof = narrow_profile(g, 6)
-        assert (list(prof.induced), list(prof.boundary)) == brute_tables(12, edges)
-        assert (list(prof.induced_witness),
-                list(prof.boundary_witness)) == brute_witnesses(12, edges)
-    assert used == [np.int8, np.int16]
+        gray = profile_tuple(iso_profile(g, strategy="gray"))
+        assert profile_tuple(narrow_profile(g, 6)) == gray
+        assert profile_tuple(iso_profile(g)) == gray
+    assert used == [np.uint8, np.uint8, np.int16, np.int16]
+
+
+def test_z2_scans_two_uint8_tables(monkeypatch):
+    # Z(2), the counterexample graph: irregular, so its scan keeps the
+    # boundary table too, offset by its E = 111 edges.
+    used = recording_table_types(monkeypatch)
+    g = graph_z(2)
+    assert not is_regular(g)[0]
+    assert profile_tuple(iso_profile(g)) == profile_tuple(iso_profile(g, strategy="gray"))
+    assert used == [np.uint8]
 
 
 def test_regular_scan_either_side_of_the_uint8_bound(monkeypatch):
-    # complete(16) has 2E = 240, which fits uint8 and not int8, and
-    # complete(17) has 272, past uint8.  Regular graphs need 17 vertices
-    # for 2E > 240, so these are the smallest on either side.  The least
-    # witnesses pin the tables too, since the profile recounts them.
+    # complete(16) has 2E = 240, which fits uint8, and complete(17) has
+    # 272, past it.  Regular graphs need 17 vertices for 2E > 240, so
+    # these are the smallest on either side.  In a complete graph every
+    # m-set is optimal on both sides, so the least witness is the m lowest
+    # vertices; the least witnesses pin the tables too, since the profile
+    # recounts them.
     used = recording_table_types(monkeypatch)
     for n in (16, 17):
-        g = complete(n)
-        prof = narrow_profile(g, 12)
+        prof = narrow_profile(complete(n), 12)
         assert list(prof.induced) == [m * (m - 1) // 2 for m in range(n + 1)]
-        assert (list(prof.induced_witness),
-                list(prof.boundary_witness)) == brute_witnesses(n, g.edges())
+        least = [(1 << m) - 1 for m in range(n + 1)]
+        assert list(prof.induced_witness) == list(prof.boundary_witness) == least
     assert used == [np.uint8, np.int16]
 
 
@@ -423,9 +434,7 @@ def test_regular_graphs_match_brute_oracles(g, data):
 def test_production_width_regular_equals_two_table_scan():
     # 20 and 24 vertices: 4 and 64 full-width blocks, of which the regular
     # scan walks 2 and 32.  The two-table scan is the irregular path, so
-    # it is the oracle for the derived rows and the mirrored blocks.  With
-    # 40 and 60 edges (2E <= 127) the regular scan keeps uint8 tables and
-    # the two-table scan int8 ones, so this also compares the two types.
+    # it is the oracle for the derived rows and the mirrored blocks.
     import edgeiso.solver as solver
     for g, r in ((cartesian_product(petersen(), complete(2)), 4),
                  (cartesian_product(complete(4), cycle(6)), 5)):

@@ -328,17 +328,30 @@ def test_low_tables_at_full_width_with_the_largest_entries():
     check_low_tables(g.adj, [[2] * k, spread(255, k)], k, np.uint8)
 
 
-@pytest.mark.parametrize("top, dtype", [
-    (0, np.uint8), (126, np.uint8), (127, np.uint8), (128, np.uint8),
-    (254, np.uint8), (255, np.uint8), (256, np.int16), (992, np.int16),
+@pytest.mark.parametrize("top, boundary, dtype", [
+    (0, True, np.int8), (126, True, np.int8), (127, True, np.int8),
+    (128, True, np.int16), (254, True, np.int16), (255, True, np.int16),
+    (256, True, np.int16), (992, True, np.int16),
+    (0, False, np.uint8), (126, False, np.uint8), (127, False, np.uint8),
+    (128, False, np.uint8), (254, False, np.uint8), (255, False, np.uint8),
+    (256, False, np.int16), (992, False, np.int16),
 ])
-def test_table_type_is_the_narrowest_exact_type(top, dtype):
-    # top = 2E bounds every entry of both scans' tables: the boundary
-    # table is stored offset by E, in [0, 2E] like the induced one.  An
+def test_table_type_is_the_narrowest_exact_type(top, boundary, dtype):
+    # top = 2E bounds every entry of both scans' tables, and one rule
+    # types them: the narrowest type that holds [0, 2E].  Without the
+    # boundary table, dtype is that type.  With it, dtype is the type the
+    # boundary table would need stored signed, in [-E, E] (int8 only
+    # while 2E <= 127); stored offset by E it lies in [0, 2E] like the
+    # induced table, so the one rule never picks a wider type.  An
     # edgeless graph has 2E = 0, and complete(32), the largest under the
     # ceiling, 992.
     import edgeiso.solver as solver
-    assert solver._table_type(top) is dtype
+    chosen = solver._table_type(top)
+    assert chosen is next(t for t in TABLE_TYPES if top <= np.iinfo(t).max)
+    if boundary:
+        assert np.dtype(chosen).itemsize <= np.dtype(dtype).itemsize
+    else:
+        assert chosen is dtype
 
 
 def recording_table_types(monkeypatch):

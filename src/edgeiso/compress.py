@@ -50,8 +50,6 @@ from .errors import CapacityError, InputError
 from .graphs import Graph, capped_power, cartesian_power
 from .solver import SCAN_CEILING, IsoProfile, _walk, iso_profile, verify_order
 
-_NEG = -(1 << 50)  # impossible-state sentinel for the DP tables
-
 # Compressed mode's bound on the cells its top power's DP fills once each,
 # (n_h + 1)(n_h * n + 1)(n + 1) for g^d with n_h = n^(d-1): 2^26 admits
 # complete(3)^8 (57.5 M) and refuses complete(2)^13 (100.7 M).
@@ -105,33 +103,63 @@ def diagram_weight(dh: DeltaSequence, dg: DeltaSequence, heights) -> int:
     return int(_column_weights(dh, dg)[np.arange(nh), _staircase(heights, nh, ng)].sum())
 
 
+def _dp_type(weight: int):
+    """The integer type of a box's column-DP tables and the sentinel S
+    that marks impossible states in them, given the box's full weight
+
+        W = n_g * sum |dH[x]| + n_h * sum |dG[y]|,
+
+    the sum of |dH[x]| + |dG[y]| over every cell (x, y); for the
+    nonnegative deltas of graphs, n_g * sum dH + n_h * sum dG.  One rule:
+    int32 with S = -2^30 while W < 2^29, and int64 with S = -2^62 while
+    W < 2^61; a heavier box is refused.
+
+    Proof, for a type of b bits, W < 2^(b - 3) and S = -2^(b - 2).  A
+    column weight colw[x, h] is the weight of h cells, in [-W, W].  An
+    entry some staircase reaches weighs its cells, so it also lies in
+    [-W, W].  Every other entry is S, in the pad or at a size no table
+    wrote, plus the cells of distinct columns that the skewed adds put
+    on it, so it lies in [S - W, S + W].  S - W > -2^(b - 1): nothing
+    wraps.  S + W < S / 2 = -2^(b - 3) < -W: each such entry is below
+    every reachable one, so no running maximum picks it over a reachable
+    state, and it reads below S / 2.
+    """
+    if weight < 1 << 29:
+        return np.int32, -(1 << 30)
+    if weight < 1 << 61:
+        return np.int64, -(1 << 62)
+    raise CapacityError(f"a box of full weight {weight} overflows the column DP's int64 tables")
+
+
 def _column_tables(dh: DeltaSequence, dg: DeltaSequence, kept: int | None = None):
     """Yield ``table[x]`` for x = n_h, ..., 0: ``table[x][u, c]`` is the
     best total weight of columns x.. using u cells, every height at most
-    c.  Each needs only the one before.
+    c.  Each needs only the one before.  The tables are int32 or int64,
+    with the sentinel S for impossible states, by ``_dp_type``.
 
     A table is stored with c on the row axis behind a left pad of n_g
-    ``_NEG`` columns; the yielded ``.T`` views skip the pad and index
-    [u, c].  Column x at height h adds colw[x, h] to after[h, u - h].
+    S columns; the yielded ``.T`` views skip the pad and index [u, c].
+    Column x at height h adds colw[x, h] to after[h, u - h].
     Read as rows one entry shorter, the flat buffer shifts row h left by
     h, so one skewed add gives every (h, u) at once, with u < h landing
     in the pad.  A running maximum down the h axis, one numpy call per
     column, then turns "height h" into "height at most c".  Only sizes
-    u <= (n_h - x) * n_g fit in columns x..; the rest stay ``_NEG``.
+    u <= (n_h - x) * n_g fit in columns x..; the rest stay S.
 
     Table x is written into buffer x % b of the b = ``kept`` buffers
-    (all n_h + 1 by default), cut from one ``np.full`` of ``_NEG``, so
+    (all n_h + 1 by default), cut from one ``np.full`` of S, so
     the last b tables yielded stay valid.  Reuse is exact: buffer x % b
     last held table x + b, whose writes reach only sizes up to
     (n_h - x - b) * n_g.  Table x writes every h row at every size up to
     (n_h - x) * n_g, so it overwrites all of them, and what lies past
-    its sizes is still ``_NEG``.  No table writes the pad.
+    its sizes is still S.  No table writes the pad.
     """
     nh, ng = len(dh), len(dg)
     width = ng + nh * ng + 1  # the pad, then sizes 0..n_h * n_g
     b = nh + 1 if kept is None else kept
-    colw = _column_weights(dh, dg)
-    buffers = np.full((b, ng + 1, width), _NEG, dtype=np.int64)
+    dtype, neg = _dp_type(ng * sum(map(abs, dh.values)) + nh * sum(map(abs, dg.values)))
+    colw = _column_weights(dh, dg).astype(dtype)
+    buffers = np.full((b, ng + 1, width), neg, dtype=dtype)
     after = buffers[nh % b]
     after[:, ng] = 0
     yield after[:, ng:].T
@@ -271,9 +299,33 @@ def enumerate_compressed_optimal_orders(g: Graph, cap: int = 10,
 
 def _enumerate_chains(dh: DeltaSequence, dg: DeltaSequence, cap: int,
                       count_limit: int) -> ChainSurvey:
+    """The survey of the optimal chains of the len(dh) x len(dg) box: the
+    first min(cap, limit) chains in label order and the count
+    min(total, limit), with limit = max(count_limit, 1).
+
+    A square with one delta on both sides is walked by halves.  Every
+    chain starts at (0, 0); past a 1 x 1 box its second cell is (0, 1)
+    or (1, 0).  Transposing cells, (x, y) -> (y, x), maps staircases to
+    staircases of the same size, and with dh = dg it keeps every cell's
+    weight dh[x] + dg[y], so every optimum and every optimal chain.  It
+    is its own inverse, so it maps the chains through (0, 1) one to one
+    onto those through (1, 0), which follow them in label order.  So
+    one walk from the diagram of cells (0, 0), (0, 1), which is optimal
+    at sizes 1 and 2 as the only other diagram of two cells is its
+    transpose, counts the first half to ceil(limit / 2) and the total
+    is min(2 * count, limit): below the ceiling that is exact, and at
+    it 2 * ceil(limit / 2) >= limit.  The walk lists min(cap, limit)
+    chains of the first half; when that half runs out first, the walk
+    has listed all of it, and the rest of the listing is the sorted
+    transposes of those chains.
+    """
     nh, ng = len(dh), len(dg)
+    limit = max(count_limit, 1)  # the first full chain is always counted
+    listed = min(cap, limit)
+    half = dh.values == dg.values and nh > 1
     optima = _optima(dh, dg)
-    steps = [optima[k + 1] - optima[k] for k in range(nh * ng)]
+    first = 2 if half else 0  # the size of the walk's start diagram
+    steps = [optima[k + 1] - optima[k] for k in range(first, nh * ng)]
     gain_h, gain_g = dh.values, dg.values  # cell (x, y) weighs gain_h[x] + gain_g[y]
 
     def moves(path: int, size: int):
@@ -289,9 +341,19 @@ def _enumerate_chains(dh: DeltaSequence, dg: DeltaSequence, cap: int,
                 yield (x, h), path ^ (low * 3)
             corners ^= low
 
-    limit = max(count_limit, 1)  # the first full chain is always counted
     # the empty diagram's boundary: n_g row steps below n_h column steps
-    chains, total, _ = _walk(nh * ng, ((1 << nh) - 1) << ng, moves, min(cap, limit), limit)
+    empty = ((1 << nh) - 1) << ng
+    if not half:
+        chains, total, _ = _walk(nh * ng, empty, moves, listed, limit)
+    else:
+        # column 0's 1 moves from bit n_g down two steps, to height 2
+        found, count, _ = _walk(nh * ng - 2, empty ^ (5 << ng - 2), moves, listed,
+                                (limit + 1) // 2)
+        chains = [((0, 0), (0, 1)) + cells for cells in found]
+        if len(chains) < listed:
+            chains += sorted(tuple((y, x) for x, y in cells) for cells in chains)
+            del chains[listed:]
+        total = min(2 * count, limit)
     return ChainSurvey(tuple(chains), total, total < limit,
                        tuple(_classify_chain(cells, (nh, ng)) for cells in chains))
 
@@ -368,9 +430,9 @@ def _lex_powers(dg: DeltaSequence):
             raise RuntimeError(f"lex fails on power {k + 1} after passing on the square, "
                                f"against Ahlswede-Cai; solver bug")
         if failing:
-            digits = [str(h) for h in range(len(dg) + 1)]
-            found = {m: ",".join([digits[h] for h in hs])
-                     for m, hs in zip(failing, square.witnesses(failing).tolist())}
+            # one gather of the height strings, then one join per failing row
+            digits = np.array([str(h) for h in range(len(dg) + 1)], dtype=object)
+            found = dict(zip(failing, map(",".join, digits[square.witnesses(failing)].tolist())))
 
 
 def verify_lex_square(g: Graph, profile: IsoProfile | None = None) -> OptimalityReport:

@@ -512,9 +512,11 @@ def _walk(depth: int, start, moves, cap: int, limit=math.inf):
     A state is the minimal key of a prefix, an int: a vertex mask, or a
     diagram's boundary path, whose bit n_g + x - h_x marks column x of
     height h_x; its value is the optimum at its size, so nothing else is
-    carried.  ``moves(state, size)`` yields ``(label, child)`` in
-    ascending label order for exactly the children that hit the optimum
-    at ``size + 1``; ``depth`` >= 1 is the size of a full prefix.  The
+    carried.  ``moves(state, size)`` gives an iterable of ``(label,
+    child)`` in ascending label order for exactly the children that hit
+    the optimum at ``size + 1``; ``depth`` >= 1 is the size of a full
+    prefix.  The labels into the open states sit on one stack, so a full
+    sequence is that stack and its last label.  The
     memo maps each state the walk has left to its completion count,
     saturated at ``limit``; 0 marks a dead state, never entered again.  A
     state known to be live is entered again only while the walk is still
@@ -524,35 +526,41 @@ def _walk(depth: int, start, moves, cap: int, limit=math.inf):
     found: list[tuple] = []
     memo: dict = {}
     deepest = 0
-    # one frame per open state: [label in, state, its moves, completions so far]
-    frames = [[None, start, moves(start, 0), 0]]
+    labels: list = []  # the label into each open state but the start
+    # one frame per open state: [state, its moves, completions so far]
+    frames = [[start, iter(moves(start, 0)), 0]]
     while True:
         frame = frames[-1]
-        total = frame[3]
+        total = frame[2]
         size = len(frames)  # size of the children the frame's moves yield
         if total < limit or len(found) < cap:
-            for label, child in frame[2]:
+            for label, child in frame[1]:
                 if size == depth:
                     deepest, known = depth, 1
                     if len(found) < cap:
-                        found.append(tuple(f[0] for f in frames[1:]) + (label,))
+                        found.append((*labels, label))
                 else:
                     known = memo.get(child)
                     if known is None or known and len(found) < cap:
-                        deepest = max(deepest, size)
-                        frames.append([label, child, moves(child, size), 0])
+                        if size > deepest:
+                            deepest = size
+                        labels.append(label)
+                        frames.append([child, iter(moves(child, size)), 0])
                         break
                 total += known
                 if total >= limit and len(found) >= cap:
                     break
-            frame[3] = total
+            frame[2] = total
             if frames[-1] is not frame:
                 continue
-        total = memo[frame[1]] = min(total, limit)
+        if total > limit:
+            total = limit
+        memo[frame[0]] = total
         frames.pop()
         if not frames:
             return found, total, deepest
-        frames[-1][3] += total
+        labels.pop()
+        frames[-1][2] += total
 
 
 def _vertex_moves(g: Graph, target, by_boundary: bool = False):
@@ -566,9 +574,8 @@ def _vertex_moves(g: Graph, target, by_boundary: bool = False):
 
     def moves(mask: int, size: int):
         want = steps[size]
-        for v, bit, row, base in rows:
-            if not mask & bit and base + scale * (row & mask).bit_count() == want:
-                yield v, mask | bit
+        return [(v, mask | bit) for v, bit, row, base in rows
+                if not mask & bit and base + scale * (row & mask).bit_count() == want]
 
     return moves
 

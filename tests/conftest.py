@@ -5,16 +5,22 @@ machinery: they count edges straight off (u, v) lists with Python sets,
 so agreement with the solvers is a genuine cross-check rather than the
 same code called twice.  It also keeps reference versions of
 production code: the column DP one height at a time, the chain walker
-over column heights, and the compression of arbitrary product sets.
+over column heights, the frame-per-state prefix walker, the chain
+survey that walks a square's whole DAG, and the compression of
+arbitrary product sets.
 """
 
 import itertools
+import json
+import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edgeiso.compress import _NEG
+from edgeiso.compress import ChainSurvey, _classify_chain, _optima
+from edgeiso.delta import DeltaSequence
 from edgeiso.errors import InputError
 from edgeiso.graphs import (Graph, as_mask, bit_indices, cartesian_product, from_edge_list,
                             graph_union, graph_z, induced_edges)
@@ -136,6 +142,11 @@ def brute_chains(dh, dg):
     return sorted(chains)
 
 
+# An impossible state in the row-by-row column DP, far below any weight
+# its boxes reach.
+NEG = -(1 << 50)
+
+
 def column_tables_by_row(dh, dg):
     """The column DP one height at a time: ``tables[x][u, c]`` is the best
     weight of columns x.. using u cells, every height at most c.
@@ -146,13 +157,13 @@ def column_tables_by_row(dh, dg):
     """
     nh, ng = len(dh), len(dg)
     total = nh * ng
-    after = np.full((ng + 1, total + 1), _NEG, dtype=np.int64)
+    after = np.full((ng + 1, total + 1), NEG, dtype=np.int64)
     after[:, 0] = 0
     tables = [after.T]
     for x in range(nh - 1, -1, -1):
         colw = [h * dh[x] + sum(dg[:h]) for h in range(ng + 1)]
         cur = np.empty((ng + 1, total + 1), dtype=np.int64)
-        run = np.full(total + 1, _NEG, dtype=np.int64)
+        run = np.full(total + 1, NEG, dtype=np.int64)
         for h in range(ng + 1):
             np.maximum(run[h:], after[h, : total + 1 - h] + colw[h], out=run[h:])
             cur[h] = run
@@ -182,6 +193,85 @@ def height_chain_survey(dh, dg, cap, count_limit):
     colex = tuple((x, y) for y in range(ng) for x in range(nh))
     kinds = tuple("lex" if c == lex else "colex" if c == colex else "other" for c in chains)
     return total, total < limit, chains, kinds
+
+
+def frame_walk(depth: int, start, moves, cap: int, limit=math.inf):
+    """The prefix walker that keeps each open state's label in its frame
+    and rebuilds a full sequence from the frames; the same contract as
+    ``solver._walk``: (first ``cap`` full label sequences, the start's
+    completion count min(total, limit), the longest prefix entered)."""
+    found: list[tuple] = []
+    memo: dict = {}
+    deepest = 0
+    # one frame per open state: [label in, state, its moves, completions so far]
+    frames = [[None, start, moves(start, 0), 0]]
+    while True:
+        frame = frames[-1]
+        total = frame[3]
+        size = len(frames)  # size of the children the frame's moves yield
+        if total < limit or len(found) < cap:
+            for label, child in frame[2]:
+                if size == depth:
+                    deepest, known = depth, 1
+                    if len(found) < cap:
+                        found.append(tuple(f[0] for f in frames[1:]) + (label,))
+                else:
+                    known = memo.get(child)
+                    if known is None or known and len(found) < cap:
+                        deepest = max(deepest, size)
+                        frames.append([label, child, moves(child, size), 0])
+                        break
+                total += known
+                if total >= limit and len(found) >= cap:
+                    break
+            frame[3] = total
+            if frames[-1] is not frame:
+                continue
+        total = memo[frame[1]] = min(total, limit)
+        frames.pop()
+        if not frames:
+            return found, total, deepest
+        frames[-1][3] += total
+
+
+def full_walk_chains(dh, dg, cap: int, count_limit: int) -> ChainSurvey:
+    """The chain survey of the len(dh) x len(dg) box by one walk of its
+    whole DAG of boundary paths, square or not."""
+    nh, ng = len(dh), len(dg)
+    optima = _optima(dh, dg)
+    steps = [optima[k + 1] - optima[k] for k in range(nh * ng)]
+    gain_h, gain_g = dh.values, dg.values  # cell (x, y) weighs gain_h[x] + gain_g[y]
+
+    def moves(path: int, size: int):
+        # a corner (bit i a step down, bit i + 1 a step right) is a cell that
+        # may be added; lower bits belong to lower columns, so x ascends
+        want = steps[size]
+        corners = (path >> 1) & ~path
+        while corners:
+            low = corners & -corners
+            x = (path & (low - 1)).bit_count()
+            h = ng - low.bit_length() + x
+            if gain_h[x] + gain_g[h] == want:
+                yield (x, h), path ^ (low * 3)
+            corners ^= low
+
+    limit = max(count_limit, 1)  # the first full chain is always counted
+    # the empty diagram's boundary: n_g row steps below n_h column steps
+    chains, total, _ = frame_walk(nh * ng, ((1 << nh) - 1) << ng, moves, min(cap, limit), limit)
+    return ChainSurvey(tuple(chains), total, total < limit,
+                       tuple(_classify_chain(cells, (nh, ng)) for cells in chains))
+
+
+def survey_deltas() -> list[DeltaSequence]:
+    """The distinct delta sequences, in nested-solution form, of the
+    benchmark's square-survey corpus and random pool that have nested
+    solutions, as ``perfbench/reference.json`` records them."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    survey = json.loads(path.read_text())["square-survey"]
+    records = [*survey["corpus"].values(),
+               *(entry["record"] for pool in survey["pool"].values() for entry in pool)]
+    deltas = {tuple(r["delta"]): None for r in records if r["ns_order"] is not None}
+    return [DeltaSequence(values) for values in deltas]
 
 
 def compress_set(h_graph: Graph, g_graph: Graph, cells) -> tuple[int, ...]:

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import column_tables_by_row, compress_set, staircase_mask
+from conftest import column_tables_by_row, compress_set, staircase_mask, survey_deltas
 import edgeiso.compress
-from edgeiso.compress import (_NEG, DiagramOptimizer, _classify_chain,
-                              _colex_cells, _column_tables, _lex_cells, _optima,
+from edgeiso.compress import (DiagramOptimizer, _classify_chain, _colex_cells,
+                              _column_tables, _dp_type, _lex_cells, _optima,
                               diagram_weight,
                               enumerate_compressed_optimal_orders, power_lex_check,
                               staircase_members, verify_lex_square)
@@ -194,21 +194,74 @@ def dp_boxes(draw):
 @example(([1], [0, 1, 2, 3]))
 @example(([3, 1, 0, 2], [0, 2]))
 @example((list(range(64)), [0, 1, 1]))
+@example(([(1 << 29) - 1], [0]))
+@example(([(1 << 26) - 1], [0] * 8))
+@example(([-(1 << 29) + 1], [0]))
+@example(([1 << 26, -(1 << 26)], [0, -(1 << 27) + 1]))
+@example(([1 << 29], [0]))
+@example(([1 << 28, -(1 << 27)], [-(1 << 28), 5, 1 << 27]))
 def test_column_tables_match_row_by_row_oracle(deltas):
     # sizes that fit in columns x.. under cap c agree with the oracle; a
-    # size past every column's full height was never written
+    # size past every column's full height was never written, and the
+    # sentinel's half bounds every entry no staircase reaches, in both
+    # table types (the examples put the box's full weight W at 2^29 - 1,
+    # 2^29 - 2 and 2^29 - 8 in int32, and at 2^29 and past it in int64)
     dh, dg = deltas
     nh, ng = len(dh), len(dg)
+    dtype, neg = _dp_type(ng * sum(map(abs, dh)) + nh * sum(map(abs, dg)))
     got = list(_column_tables(DeltaSequence(dh), DeltaSequence(dg)))[::-1]
     oracle = column_tables_by_row(dh, dg)
     assert len(got) == nh + 1
     for x, (table, expected) in enumerate(zip(got, oracle)):
-        assert table.shape == (nh * ng + 1, ng + 1)
+        assert table.shape == (nh * ng + 1, ng + 1) and table.dtype == dtype
         for c in range(ng + 1):
             fits = (nh - x) * c + 1
             assert table[:fits, c].tolist() == expected[:fits, c].tolist(), (x, c)
-            assert (table[fits:, c] < _NEG // 2).all(), (x, c)
-        assert (table[(nh - x) * ng + 1:] == _NEG).all(), x
+            assert (table[fits:, c] < neg // 2).all(), (x, c)
+        assert (table[(nh - x) * ng + 1:] == neg).all(), x
+
+
+def test_dp_type_rule_either_side_of_two_to_the_29():
+    assert _dp_type(0) == _dp_type((1 << 29) - 1) == (np.int32, -(1 << 30))
+    assert _dp_type(1 << 29) == _dp_type((1 << 61) - 1) == (np.int64, -(1 << 62))
+    with pytest.raises(CapacityError, match="full weight"):
+        _dp_type(1 << 61)
+
+
+def int64_column_tables(dh, dg):
+    """``_column_tables`` in two reused buffers with the rule forced to
+    int64 tables; the type is read before the first table."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(edgeiso.compress, "_dp_type", lambda weight: (np.int64, -(1 << 62)))
+        tables = _column_tables(dh, dg, 2)
+        first = next(tables)
+    yield first
+    yield from tables
+
+
+def assert_int32_tables_equal_int64(dh, dg):
+    tables = zip(_column_tables(dh, dg, 2), int64_column_tables(dh, dg), strict=True)
+    for narrow, wide in tables:
+        assert narrow.dtype == np.int32 and wide.dtype == np.int64
+        live = wide > -(1 << 61)
+        assert (live == (narrow > -(1 << 29))).all()
+        assert (narrow[live] == wide[live]).all()
+
+
+def test_int32_tables_equal_int64_on_the_survey_deltas():
+    # all 2,116 ordered pairs of the 46 distinct deltas, squares included
+    deltas = survey_deltas()
+    for dh in deltas:
+        for dg in deltas:
+            assert_int32_tables_equal_int64(dh, dg)
+
+
+def test_int32_tables_equal_int64_on_the_complete2_tower_box():
+    # complete(2)^12 as complete(2)^11 x complete(2): lex on the 11-cube
+    # adds popcount(i) edges with vertex i
+    dh = DeltaSequence(i.bit_count() for i in range(2048))
+    dg = DeltaSequence((0, 1))
+    assert_int32_tables_equal_int64(dh, dg)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -324,6 +377,7 @@ def test_witnesses_recount_each_row_against_the_optimum():
     # one: the least height reaching it starts a row that is no optimum
     opt = DiagramOptimizer(DeltaSequence((0, 5, 5)), DeltaSequence((0, 1, 2)))
     assert opt.witnesses([3]).tolist() == [[1, 1, 1]]
+    assert opt.tables[1].dtype == np.int32
     # column 1 places 2 cells under cap 1; height 0 now claims that value
     opt.tables[1][2, 0] = opt.tables[1][2, 1]
     with pytest.raises(RuntimeError, match="reconstruction failed"):

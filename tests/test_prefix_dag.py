@@ -6,13 +6,20 @@ each caller against an oracle from conftest that filters every
 permutation or every staircase cell sequence, so a wrong memo entry,
 a bad dead-state mark or an off-by-one in the count limit shows up as
 a disagreement.  The chain walker's boundary-path states are also
-checked against a walker over column heights.
+checked against a walker over column heights, a square's half walk
+against the walk of its whole DAG, and the walker itself against one
+that keeps each open state's label in its frame.
 """
 
+import math
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_chains, brute_optimal_orders, brute_tables, height_chain_survey
+import edgeiso.compress
+from conftest import (brute_chains, brute_optimal_orders, brute_tables, frame_walk,
+                      full_walk_chains, height_chain_survey, survey_deltas)
 from edgeiso.compress import _enumerate_chains, enumerate_compressed_optimal_orders
 from edgeiso.delta import DeltaSequence, nested_solution_form
 from edgeiso.graphs import from_edge_list, path, petersen
@@ -198,3 +205,117 @@ def test_chain_survey_over_1600_cells():
     survey = _enumerate_chains(d, d, cap=10, count_limit=10_000)
     assert survey.total == 2 and survey.exact
     assert survey.classifications == ("lex", "colex")
+
+
+# Caps and count limits for the half walk: odd limits, whose halves
+# round up, and caps above the total, which list transposes.
+HALF_CAPS = (0, 1, 2, 3, 10)
+HALF_LIMITS = (1, 2, 3, 4, 10_000)
+
+
+@st.composite
+def induced_deltas(draw, n=None):
+    """A delta as an induced optimum's steps rise: delta(1) = 0 and
+    0 <= delta(i + 1) <= delta(i) + 1, up to 8 entries."""
+    values = [0]
+    for _ in range(draw(st.integers(1, 8)) - 1 if n is None else n - 1):
+        values.append(draw(st.integers(0, values[-1] + 1)))
+    return DeltaSequence(values)
+
+
+@st.composite
+def square_boxes(draw):
+    """A square's two deltas: one delta on both sides, or two of equal
+    length, which keep the full walk."""
+    dh = draw(induced_deltas())
+    return dh, dh if draw(st.booleans()) else draw(induced_deltas(len(dh)))
+
+
+def assert_half_walk_matches_full_walk(dh, dg):
+    for cap in (-1, *HALF_CAPS):
+        for count_limit in HALF_LIMITS:
+            got = _enumerate_chains(dh, dg, cap=cap, count_limit=count_limit)
+            assert got == full_walk_chains(dh, dg, cap, count_limit), (cap, count_limit)
+
+
+@PROPERTY
+@given(square_boxes())
+@example((DeltaSequence((0, 1, 2, 2, 3, 4, 5, 5)),) * 2)  # dense
+@example((DeltaSequence((0, 1, 1, 2, 2, 3, 3, 4)),) * 2)  # not dense
+@example((DeltaSequence((0, 1, 2)), DeltaSequence((0, 1, 1))))
+@example((DeltaSequence((0,)),) * 2)
+def test_half_walk_matches_full_walk(box):
+    # chains, total, exact and classifications, for every cap and limit
+    assert_half_walk_matches_full_walk(*box)
+
+
+def test_half_walk_matches_full_walk_on_the_survey_deltas():
+    deltas = survey_deltas()
+    assert len(deltas) == 46
+    for d in deltas:
+        assert_half_walk_matches_full_walk(d, d)
+
+
+def test_z2_half_walk_enters_half_the_states(monkeypatch, z2, z2_profile):
+    # the whole DAG of Z(2)'s square takes 674 moves calls
+    calls = []
+    walk = edgeiso.compress._walk
+
+    def counting(depth, start, moves, cap, limit):
+        def counted(state, size):
+            calls.append(state)
+            return moves(state, size)
+        return walk(depth, start, counted, cap, limit)
+
+    monkeypatch.setattr(edgeiso.compress, "_walk", counting)
+    survey = enumerate_compressed_optimal_orders(z2, profile=z2_profile)
+    assert (survey.total, survey.exact, survey.classifications) == (2, True, ("lex", "colex"))
+    assert len(calls) <= 340
+
+
+WALK_CAPS = (0, 1, 10)
+WALK_LIMITS = (1, 5, math.inf)
+
+
+def assert_walks_agree(depth, start, moves):
+    # the frame walker resumes each frame's moves, so it needs an iterator
+    def resumable(state, size):
+        return iter(moves(state, size))
+
+    for cap in WALK_CAPS:
+        for limit in WALK_LIMITS:
+            assert _walk(depth, start, moves, cap, limit) == \
+                frame_walk(depth, start, resumable, cap, limit), (cap, limit)
+
+
+@PROPERTY
+@given(small_graphs(max_n=8))
+@example(NO_NS_GRAPHS[0])
+@example(NO_NS_GRAPHS[1])
+@example(K8_LESS_TWO)
+def test_walk_matches_frame_walk_on_vertex_dags(graph):
+    # the DAGs of has_ns on both sides, and of order listing
+    n, edges = graph
+    g = from_edge_list(n, edges)
+    prof = iso_profile(g)
+    assert_walks_agree(n, 0, _vertex_moves(g, prof.induced))
+    assert_walks_agree(n, 0, _vertex_moves(g, prof.boundary, True))
+
+
+@PROPERTY
+@given(chain_boxes())
+@example(([0, 1, 2, 3], [0, 1, 2, 3]))
+@example(([0, 1, 2], [0, 1, 2, 3, 4]))
+def test_walk_matches_frame_walk_on_chain_dags(deltas):
+    # every walk a chain survey starts, half walks included
+    walks = []
+
+    def recording(depth, start, moves, cap, limit):
+        walks.append((depth, start, moves))
+        return _walk(depth, start, moves, cap, limit)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(edgeiso.compress, "_walk", recording)
+        _enumerate_chains(DeltaSequence(deltas[0]), DeltaSequence(deltas[1]), 10, 10_000)
+    for walk in walks:
+        assert_walks_agree(*walk)
